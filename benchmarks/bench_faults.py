@@ -37,6 +37,7 @@ from math import ceil
 
 from bench_perf_kernel import JSON_PATH, record_trajectory_entry
 
+from repro.cost import reference_model
 from repro.parallel import (
     Fault,
     FaultPlan,
@@ -45,7 +46,6 @@ from repro.parallel import (
     build_placer_by_name,
     walk_total_steps,
 )
-from repro.parallel.engines import reference_cost_model
 from repro.parallel.jobs import ChunkTask
 from repro.parallel.runner import _DEFAULT_ROUNDS, _execute
 from repro.workloads import resolve_workload
@@ -70,7 +70,7 @@ def _raw_run() -> int:
     runner has always done — identical work, none of the fault
     machinery (no supervisor, no retry accounting, no failure
     bookkeeping)."""
-    ref = reference_cost_model(resolve_workload(CIRCUIT))
+    ref = reference_model(resolve_workload(CIRCUIT))
     steps = 0
     board = []
     for spec in _specs():

@@ -271,35 +271,22 @@ def phase_breakdown(trace: Trace) -> dict[str, dict]:
 def worker_utilization(trace: Trace) -> dict[str, dict]:
     """Per-worker busy time, chunk counts and queue-wait statistics.
 
-    Merges the local pool's ``executor.worker`` summaries with per-chunk
-    ``executor.chunk`` timings (both wall-only); remote workers appear
-    under the name they handshook with.
+    Rebuilt from the per-chunk ``executor.chunk`` timings (wall-only);
+    workers appear under the name they handshook with (``local-<slot>``
+    for the local pool).
     """
     workers: dict[str, dict] = {}
-    summarized: set[str] = set()
-    for event in trace.named("executor.worker"):
-        wall = event.get("wall") or {}
-        name = str(wall.get("worker", "?"))
-        summarized.add(name)
-        row = workers.setdefault(
-            name, {"busy_s": 0.0, "chunks": 0, "queue_wait_s": 0.0}
-        )
-        row["busy_s"] = round(row["busy_s"] + float(wall.get("busy_s", 0.0)), 6)
-        row["chunks"] += int(wall.get("chunks", 0))
     for event in trace.named("executor.chunk"):
         wall = event.get("wall") or {}
         name = str(wall.get("worker", "?"))
         row = workers.setdefault(
             name, {"busy_s": 0.0, "chunks": 0, "queue_wait_s": 0.0}
         )
+        row["busy_s"] = round(row["busy_s"] + float(wall.get("exec_s", 0.0)), 6)
+        row["chunks"] += 1
         row["queue_wait_s"] = round(
             row["queue_wait_s"] + float(wall.get("queue_wait_s", 0.0)), 6
         )
-        if name not in summarized:
-            # no close-time summary for this worker (remote tier):
-            # rebuild busy time from its per-chunk timings
-            row["busy_s"] = round(row["busy_s"] + float(wall.get("exec_s", 0.0)), 6)
-            row["chunks"] += 1
     return dict(sorted(workers.items()))
 
 

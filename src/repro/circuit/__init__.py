@@ -12,8 +12,6 @@ from .device import TECH, Device, DeviceType, matched_pair
 from .hierarchy import ConstraintKind, HierarchyNode, cluster_by
 from .library import (
     TABLE1_MODULE_COUNTS,
-    circuit_by_name,
-    circuit_names,
     fig1_modules,
     fig1_sequence_pair,
     fig2_design,
@@ -39,8 +37,6 @@ __all__ = [
     "HierarchyNode",
     "ProximityGroup",
     "SymmetryGroup",
-    "circuit_by_name",
-    "circuit_names",
     "cluster_by",
     "fig1_modules",
     "fig1_sequence_pair",

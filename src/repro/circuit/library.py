@@ -14,7 +14,6 @@ design, and the Fig. 6 Miller op amp with its exact hierarchy tree.
 from __future__ import annotations
 
 import random
-import warnings
 
 from ..geometry import Module, ModuleSet, Net
 from .constraints import (
@@ -353,35 +352,3 @@ def sized_folded_cascode() -> Circuit:
     from ..sizing import layout_aware_sizing, sizing_to_circuit
 
     return sizing_to_circuit(layout_aware_sizing(seed=1).sizing)
-
-
-def circuit_names() -> tuple[str, ...]:
-    """Names accepted by :func:`circuit_by_name`, sorted.
-
-    Delegates to the workload registry (the single source of truth for
-    the built-in set) the same way the :func:`circuit_by_name` shim
-    does, so the two can never drift.
-    """
-    from ..workloads import workload_names
-
-    return workload_names()
-
-
-def circuit_by_name(name: str) -> Circuit:
-    """Deprecated: resolve through the workload registry instead.
-
-    This was the benchmark lookup before the workload subsystem; it now
-    delegates to :func:`repro.workloads.resolve_workload`, which also
-    understands generated (``gen:...``) and on-disk (``file:...``)
-    workloads.  Kept as a shim so old call sites keep working; new code
-    should import the registry directly.
-    """
-    warnings.warn(
-        "circuit_by_name() is deprecated; use "
-        "repro.workloads.resolve_workload() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..workloads import resolve_workload
-
-    return resolve_workload(name)

@@ -21,8 +21,6 @@ from .engines import (
     build_placer,
     build_placer_by_name,
     compress_overrides,
-    reference_cost,
-    reference_cost_model,
     validate_engines,
     verify_walk_checkpoint,
     walk_chunk_count,
@@ -88,8 +86,6 @@ __all__ = [
     "compress_overrides",
     "format_address",
     "parse_address",
-    "reference_cost",
-    "reference_cost_model",
     "run_worker",
     "validate_engines",
     "verify_walk_checkpoint",

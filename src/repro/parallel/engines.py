@@ -20,7 +20,6 @@ from __future__ import annotations
 from ..anneal import GeometricSchedule
 from ..bstar import BStarPlacerConfig, BStarPlacer, HierarchicalPlacer
 from ..circuit import Circuit
-from ..cost import CostModel, reference_model
 from ..workloads import resolve_workload
 from ..seqpair import PlacerConfig, SequencePairPlacer
 from ..slicing import SlicingPlacer, SlicingPlacerConfig
@@ -141,23 +140,3 @@ def verify_walk_checkpoint(spec: WalkSpec, checkpoint) -> None:
             f"spans {expected} steps — the run directory does not match this "
             "configuration"
         )
-
-
-def reference_cost(circuit: Circuit):
-    """One engine-agnostic yardstick: ``Placement -> float``.
-
-    Each engine anneals its *own* objective (slicing, for instance,
-    carries no aspect or proximity terms), so internal best costs are
-    not comparable across engines.  The portfolio therefore ranks
-    finished placements with :func:`repro.cost.reference_model` —
-    area, wirelength and aspect under the canonical default weights,
-    built from the very terms every placer anneals, plus a penalty per
-    violated constraint.  Kept as a convenience wrapper; callers that
-    also want per-term breakdowns should hold the model itself.
-    """
-    return reference_model(circuit).evaluate_placement
-
-
-def reference_cost_model(circuit: Circuit) -> CostModel:
-    """The portfolio's ranking model (see :func:`repro.cost.reference_model`)."""
-    return reference_model(circuit)

@@ -14,32 +14,12 @@ pickle, and sufficient to resume the walk bit-identically anywhere.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from ..anneal import AnnealingStats, WalkCheckpoint
 from ..geometry import Placement
 from ..telemetry import TraceConfig
 
-
-def circuit_by_name(name: str):
-    """Deprecated shim: resolve workloads through the registry.
-
-    This module's docs long pointed at ``circuit_by_name`` as the
-    lookup behind :class:`WalkSpec.circuit`, so the name is provided
-    here (deprecated from birth) for anyone who followed them; the
-    real resolver is :func:`repro.workloads.resolve_workload`, which
-    also accepts ``gen:`` and ``file:`` workload names.
-    """
-    warnings.warn(
-        "repro.parallel.jobs.circuit_by_name() is deprecated; use "
-        "repro.workloads.resolve_workload() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..workloads import resolve_workload
-
-    return resolve_workload(name)
 
 #: per-walk status values in a leaderboard
 FINISHED = "finished"
@@ -143,7 +123,7 @@ class WalkOutcome:
     ``best_cost`` is the walk's *own* annealing objective (comparable
     only within one engine); ``ref_cost`` is the shared reference cost
     every placement is ranked by (see
-    :func:`repro.parallel.engines.reference_cost`).
+    :func:`repro.cost.reference_model`).
     """
 
     spec: WalkSpec

@@ -3,8 +3,8 @@
 The wire format is deliberately boring: every message is one *frame* —
 a 4-byte magic, a 4-byte big-endian payload length, and a pickled
 ``(kind, payload)`` tuple — over a stream socket (TCP or a Unix domain
-socket).  Everything that crosses the wire is the same spawn-safe data
-that already crosses process pipes (:class:`~repro.parallel.jobs.WalkSpec`,
+socket).  Everything that crosses the wire is spawn-safe data
+(:class:`~repro.parallel.jobs.WalkSpec`,
 :class:`~repro.parallel.jobs.ChunkTask`,
 :class:`~repro.anneal.WalkCheckpoint`): nothing live is ever pickled.
 
@@ -17,9 +17,10 @@ connect time instead of corrupting a run halfway through.
 .. warning::
    Frames are pickled Python objects, so the socket must only ever be
    exposed on a **trusted network** (loopback, a private cluster
-   fabric, an SSH tunnel).  There is no authentication and no
-   encryption — exactly like ``multiprocessing``'s own connection
-   machinery, which this replaces across hosts.
+   fabric, an SSH tunnel, or the local pool's private Unix socket).
+   There is no authentication and no encryption — exactly like
+   ``multiprocessing``'s own connection machinery, which this
+   replaces.
 
 Message kinds
 -------------

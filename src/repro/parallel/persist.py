@@ -158,9 +158,9 @@ class RunState:
     restart_policy: str
     checkpoint_every: int | None
     overrides: tuple[tuple[str, object], ...]
-    #: executor topology the run was recorded under: ``"local"`` (the
-    #: in-process / spawned-pool executors) or ``"remote"`` (the socket
-    #: tier).  ``resume()`` validates against it so a run cannot
+    #: executor topology the run was recorded under: ``"local"``
+    #: (in-process, or a pool of local workers) or ``"remote"``
+    #: (workers joining a ``listen`` address).  ``resume()`` validates against it so a run cannot
     #: silently continue under a different topology.
     transport: str = "local"
     walks: dict[int, WalkRecord] = field(default_factory=dict)

@@ -1,14 +1,16 @@
-"""Distributed execution tier: remote workers over sockets, with leases.
+"""Lease-supervised execution tier: workers over sockets.
 
 :class:`RemoteExecutor` implements the same executor interface as the
-in-process and spawned-pool executors in :mod:`repro.parallel.runner`
+serial in-process executor in :mod:`repro.parallel.runner`
 (``dispatch`` / ``collect`` / ``close``), but hands chunks to worker
-processes that joined over a socket (``repro worker --connect``) — on
-this machine or any other.  Because a chunk is a pure function of
-``(spec, checkpoint)`` and the leaderboard is totally ordered by
-``(ref_cost, walk_id)``, the distributed run's answer is byte-identical
-to the serial run's; the network tier can only change *when* chunks
-execute, never *what* they compute.
+processes that joined over a socket.  It runs every multi-process
+portfolio: remote workers started with ``repro worker --connect`` (on
+this machine or any other), and the local pool of ``workers > 1``,
+which it spawns itself onto a private Unix socket.  Because a chunk is
+a pure function of ``(spec, checkpoint)`` and the leaderboard is
+totally ordered by ``(ref_cost, walk_id)``, the answer is
+byte-identical to the serial run's; the execution tier can only change
+*when* chunks execute, never *what* they compute.
 
 Robustness model
 ----------------
@@ -31,10 +33,19 @@ double-counted.
 jitter, re-handshaking each time; the coordinator treats a returning
 worker as brand new (any chunk it held was already re-leased).
 
-**Degradation.**  If every peer vanishes and none returns within a
-grace period, the coordinator executes the backlog *inline*, one chunk
-per ``collect``, still polling the listener between chunks — a run
-never hangs on an empty roster, and peers can rejoin mid-degradation.
+**Local pool.**  With ``workers=N`` the executor spawns ``N`` worker
+processes that join over a Unix socket in a fresh ``0700`` directory,
+removed at close.  It owns them: a local worker whose connection ends,
+or whose process dies before it ever connects, is reaped and respawned
+in its slot (same name) while ``max_respawns`` lasts; a chunk past
+``chunk_timeout`` gets its process killed, not just disconnected.
+
+**Degradation.**  If every remote peer vanishes and none returns within
+a grace period, the coordinator executes the backlog *inline*, one
+chunk per ``collect``, still polling the listener between chunks — a
+run never hangs on an empty roster, and peers can rejoin
+mid-degradation.  A local pool never falls back: once every local
+worker has exited with no respawn left, ``collect`` raises.
 
 **Hung chunks.**  A worker wedged *inside* a chunk still heartbeats
 (the heartbeat thread is independent), so leases alone cannot bound a
@@ -44,17 +55,25 @@ that revokes the lease regardless of heartbeats.
 .. warning::
    The transport pickles Python objects with no authentication (see
    :mod:`repro.parallel.net`); bind only on loopback, a private
-   cluster fabric, or an SSH tunnel.
+   cluster fabric, or an SSH tunnel.  The local pool never listens on
+   TCP, even loopback, where any local user could connect: its socket
+   directory admits only this user, the boundary ``multiprocessing``
+   pipes give.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
 import selectors
+import shutil
 import socket
+import tempfile
 import threading
 import time
 import traceback
+import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -77,8 +96,14 @@ from .net import (
 from .runner import _ChunkSupervisor, _execute, resolve_chunk_failure
 from ..telemetry import NULL_RECORDER
 
-#: coordinator event-loop tick: the cadence of lease/timeout checks
+#: coordinator event-loop tick: the cadence of lease/timeout/liveness checks
 _TICK_S = 0.05
+
+#: default local-worker respawn cap per run: ``2 * workers``
+_RESPAWNS_PER_WORKER = 2
+
+#: how long close() waits for a local worker to exit before killing it
+_CLOSE_GRACE_S = 10.0
 
 #: worker-side default reconnect schedule: base * 2^n, jittered, capped
 _RECONNECT_BASE_S = 0.25
@@ -124,20 +149,27 @@ class _Lease:
 class RemoteExecutor:
     """Socket-served executor: leases, heartbeats, epochs, degradation.
 
-    Same contract as the local executors: ``dispatch`` enqueues a chunk
+    Same contract as the inline executor: ``dispatch`` enqueues a chunk
     (registering it with the shared :class:`_ChunkSupervisor`),
     ``collect`` blocks until one chunk resolves — a
     :class:`ChunkResult` on success, a :class:`ChunkFailure` once a
     walk is out of retries — and ``close`` tells every peer to shut
     down.  All socket work happens inside ``collect`` on the
     coordinator thread; there are no coordinator-side threads to race.
+
+    ``listen`` is a parsed address (``(host, port)`` or a Unix socket
+    path, see :func:`~repro.parallel.net.parse_address`) to serve
+    remote peers on, or ``None`` to serve a private pool of ``workers``
+    local processes (see the module docstring).
     """
 
     def __init__(
         self,
-        listen: "str | tuple[str, int]",
+        listen: "tuple[str, int] | str | None",
         supervisor: _ChunkSupervisor,
         *,
+        workers: int = 0,
+        max_respawns: int | None = None,
         lease_timeout: float = 10.0,
         heartbeat_interval: float | None = None,
         chunk_timeout: float | None = None,
@@ -159,8 +191,19 @@ class RemoteExecutor:
             lease_timeout if fallback_grace is None else fallback_grace
         )
         self._on_incident = on_incident
-        address = parse_address(listen) if isinstance(listen, str) else listen
-        self._listener = listen_socket(address)
+        #: local pool: slot name -> its process, ``None`` once the slot
+        #: died with no respawn left; empty when serving remote peers
+        self._local: "dict[str, multiprocessing.process.BaseProcess | None]" = {}
+        self._respawns_left = (
+            _RESPAWNS_PER_WORKER * workers if max_respawns is None else max_respawns
+        )
+        self._pool_dir: "str | None" = None
+        if listen is None:
+            # mkdtemp creates the directory 0700: only this user can
+            # reach the socket, and every frame a peer sends is unpickled
+            self._pool_dir = tempfile.mkdtemp(prefix="repro-pool-")
+            listen = os.path.join(self._pool_dir, "pool.sock")
+        self._listener = listen_socket(listen)
         self._listener.setblocking(False)
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ, None)
@@ -178,6 +221,12 @@ class RemoteExecutor:
         self._last_peer_seen = time.monotonic()
         if on_listen is not None:
             on_listen(bound_address(self._listener))
+        try:
+            for slot in range(workers):
+                self._spawn_local(f"local-{slot}")
+        except BaseException:
+            self.close()
+            raise
 
     # -- executor interface ---------------------------------------------------
 
@@ -191,6 +240,10 @@ class RemoteExecutor:
         while True:
             if self._results:
                 return self._results.popleft()
+            if self._local and not any(self._local.values()):
+                raise RuntimeError(
+                    "all portfolio workers exited without producing results"
+                )
             self._pump()
             for key, _ in self._selector.select(timeout=_TICK_S):
                 if key.fileobj is self._listener:
@@ -198,6 +251,7 @@ class RemoteExecutor:
                 else:
                     self._service_peer(self._peers.get(key.fileobj))
             self._expire_leases()
+            self._reap_local()
             self._maybe_fallback()
 
     @property
@@ -206,6 +260,12 @@ class RemoteExecutor:
         return len(self._peers_seen)
 
     def close(self) -> None:
+        """Shut every peer down and reap the local pool, never hanging.
+
+        A local worker still alive ``_CLOSE_GRACE_S`` after its
+        shutdown frame is killed, and one warning names them all.
+        """
+        local, self._local = self._local, {}  # no respawns from here on
         for peer in list(self._peers.values()):
             try:
                 peer.send("shutdown")
@@ -218,9 +278,82 @@ class RemoteExecutor:
             pass
         self._selector.close()
         self._listener.close()
+        if self._pool_dir is not None:
+            # a worker still starting now fails to connect and exits
+            shutil.rmtree(self._pool_dir, ignore_errors=True)
+        stuck = []
+        for name, process in local.items():
+            if process is None:
+                continue
+            process.join(timeout=_CLOSE_GRACE_S)
+            if process.is_alive():
+                stuck.append(name)
+                process.kill()
+                process.join(timeout=5)
+        if stuck:
+            warnings.warn(
+                f"portfolio worker(s) {stuck} did not exit cleanly and were "
+                "killed",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         self._peers.clear()
         self._leases.clear()
         self._backlog.clear()
+
+    # -- local pool -----------------------------------------------------------
+
+    def _spawn_local(self, name: str) -> None:
+        # spawn, never fork: a fresh interpreter inherits no locks and
+        # no placer state, on every platform
+        process = multiprocessing.get_context("spawn").Process(
+            target=_local_worker,
+            args=(bound_address(self._listener), name),
+            name=name,
+            daemon=True,
+        )
+        process.start()
+        self._local[name] = process
+
+    def _local_lost(
+        self, name: str, kind: str = "respawn", walk_id: "int | None" = None
+    ) -> None:
+        """Reap a local worker the run has lost; respawn its slot under
+        the same name while ``max_respawns`` lasts.  ``kind`` is the
+        incident recorded: ``respawn`` after a death, ``timeout`` after
+        a chunk overran ``chunk_timeout``."""
+        process = self._local.get(name)
+        if process is None:
+            return
+        process.kill()  # it may still be alive: hung, or only disconnected
+        process.join(timeout=5)
+        cause = (
+            f"killed after exceeding the {self._chunk_timeout:g}s chunk timeout"
+            if kind == "timeout"
+            else f"exited (exit code {process.exitcode})"
+        )
+        if self._respawns_left > 0:
+            self._respawns_left -= 1
+            self._spawn_local(name)
+            self._incident(
+                walk_id, kind, f"worker {name!r} {cause}; respawned in its slot"
+            )
+        else:
+            self._local[name] = None
+
+    def _reap_local(self) -> None:
+        """Liveness check: catch a local worker that died before it
+        connected, or before its EOF was read."""
+        for name, process in list(self._local.items()):
+            if process is None or process.is_alive():
+                continue
+            peer = next(
+                (p for p in self._peers.values() if p.name == name), None
+            )
+            if peer is not None:
+                self._drop_peer(peer)
+            else:
+                self._local_lost(name)
 
     # -- incidents ------------------------------------------------------------
 
@@ -244,8 +377,18 @@ class RemoteExecutor:
             self._selector.register(sock, selectors.EVENT_READ, None)
             self._last_peer_seen = time.monotonic()
 
-    def _drop_peer(self, peer: _Peer, *, reclaim: bool = True) -> None:
-        """Forget a peer; optionally reclaim the lease it held."""
+    def _drop_peer(
+        self,
+        peer: _Peer,
+        *,
+        reclaim: bool = True,
+        kind: str = "respawn",
+        walk_id: "int | None" = None,
+    ) -> None:
+        """Forget a peer; optionally reclaim the lease it held.  A local
+        worker is never left half-connected: its slot is reaped and
+        respawned, recorded as incident ``kind`` (see
+        :meth:`_local_lost`)."""
         self._peers.pop(peer.sock, None)
         try:
             self._selector.unregister(peer.sock)
@@ -255,6 +398,8 @@ class RemoteExecutor:
             peer.sock.close()
         except OSError:
             pass
+        if peer.name in self._local:
+            self._local_lost(peer.name, kind, walk_id)
         if reclaim and peer.lease_id is not None:
             lease = self._leases.pop(peer.lease_id, None)
             if lease is not None:
@@ -514,17 +659,20 @@ class RemoteExecutor:
                 now - lease.started > self._chunk_timeout
             ):
                 del self._leases[lease.task_id]
+                # the worker is wedged inside the chunk: drop it (a local
+                # one is killed) before the retry can be leased back to it
                 peer = lease.peer
+                if peer is not None and peer.sock in self._peers:
+                    self._drop_peer(
+                        peer, reclaim=False, kind="timeout",
+                        walk_id=lease.task.spec.walk_id,
+                    )
                 self._revoke(
                     lease, "timeout",
                     f"chunk exceeded the {self._chunk_timeout:g}s wall-clock "
                     f"timeout (walk {lease.task.spec.walk_id}, chunk "
                     f"{lease.chunk_index})",
                 )
-                # the worker is wedged inside the chunk: drop it so it
-                # reconnects fresh instead of answering a revoked lease
-                if peer is not None and peer.sock in self._peers:
-                    self._drop_peer(peer, reclaim=False)
                 continue
             if now > lease.deadline:
                 del self._leases[lease.task_id]
@@ -538,7 +686,8 @@ class RemoteExecutor:
     # -- degradation ----------------------------------------------------------
 
     def _maybe_fallback(self) -> None:
-        """Execute one backlog chunk inline when all peers vanished.
+        """Execute one backlog chunk inline when all remote peers
+        vanished (a local pool never falls back: ``collect`` raises).
 
         Armed with the same fault the worker would have received, but
         with worker-only kinds (``die``, ``hang``, network faults)
@@ -547,7 +696,7 @@ class RemoteExecutor:
         accounting — fault fires, attempt burns, retry or quarantine —
         stays exactly what the remote path would have produced.
         """
-        if not self._backlog:
+        if self._local or not self._backlog:
             return
         if any(p.ready for p in self._peers.values()):
             return
@@ -581,11 +730,13 @@ class RemoteExecutor:
 
 
 class WorkerClient:
-    """One remote worker: connect, handshake, execute, heartbeat, retry.
+    """One worker: connect, handshake, execute, heartbeat, retry.
 
-    The client owns two threads: the main loop (blocking ``recv`` for
-    tasks, executes chunks, sends results) and a heartbeat ticker that
-    shares the socket through :class:`MessageStream`'s send lock.  A
+    ``connect`` is a parsed address (see
+    :func:`~repro.parallel.net.parse_address`).  The client owns two
+    threads: the main loop (blocking ``recv`` for tasks, executes
+    chunks, sends results) and a heartbeat ticker that shares the
+    socket through :class:`MessageStream`'s send lock.  A
     lost connection tears both down and reconnects with exponential
     backoff plus jitter — full-jitter, so a fleet of workers orphaned
     by one coordinator restart does not reconnect in lockstep.
@@ -601,16 +752,14 @@ class WorkerClient:
 
     def __init__(
         self,
-        connect: "str | tuple[str, int]",
+        connect: "tuple[str, int] | str",
         *,
         name: str = "worker",
         max_reconnects: int = 8,
         reconnect_base: float = _RECONNECT_BASE_S,
         rng: "random.Random | None" = None,
     ) -> None:
-        self._address = (
-            parse_address(connect) if isinstance(connect, str) else connect
-        )
+        self._address = connect
         self._name = name
         self._max_reconnects = max_reconnects
         self._reconnect_base = reconnect_base
@@ -843,9 +992,13 @@ def run_worker(
     reconnect_base: float = _RECONNECT_BASE_S,
     log: "Callable[[str], None] | None" = None,
 ) -> int:
-    """CLI entry point: serve one worker process, return its exit code."""
+    """CLI entry point: serve one worker process, return its exit code.
+
+    ``connect`` is the text form (``"host:port"`` / ``"unix:/path"``);
+    :class:`WorkerClient` takes the parsed one.
+    """
     client = WorkerClient(
-        connect,
+        parse_address(connect),
         name=name,
         max_reconnects=max_reconnects,
         reconnect_base=reconnect_base,
@@ -854,3 +1007,11 @@ def run_worker(
         return client.run(log=log)
     except _Rejected:
         return 2
+
+
+def _local_worker(address: str, name: str) -> None:
+    """Body of one local pool process: serve the coordinator's private
+    socket until shutdown.  No reconnects: a local worker whose
+    connection ends is lost to the coordinator, which respawns its
+    slot."""
+    WorkerClient(address, name=name, max_reconnects=0).run()

@@ -15,7 +15,7 @@ checkpoint API of :class:`~repro.anneal.IncrementalAnnealer`.
 :class:`~repro.parallel.jobs.ChunkTask`\\ s, each advancing the walk by
 ``checkpoint_every`` steps and freezing it into a pickled
 :class:`~repro.anneal.WalkCheckpoint`.  Chunk completions stream back
-over the result queue as progress events; chunk boundaries never change
+to the coordinator as progress events; chunk boundaries never change
 a trajectory (chunked == monolithic, bit for bit), so the runner can
 slice walks for streaming and restart policies without touching the
 answer.
@@ -26,19 +26,28 @@ barriers and rank walks by ``(best_cost, walk_id)``; the leaderboard is
 sorted by the same total order.  Same specs -> same winner, regardless
 of worker count or OS scheduling.
 
+**Two executors.**  ``workers <= 1`` runs chunks in-process
+(:class:`_InlineExecutor`, the serial reference every identity test
+compares against).  Everything else runs under one supervision model,
+:class:`~repro.parallel.remote.RemoteExecutor`: remote peers join a
+``listen`` address, and ``workers > 1`` spawns that many local worker
+processes onto a private Unix socket.  Either way each dispatched
+chunk is a lease renewed by heartbeats and stamped with its
+``(walk, chunk, attempt)`` epoch.
+
 **Fault tolerance.**  Chunk execution is a pure function of
 ``(spec, checkpoint)``, so every failure is recoverable by re-running:
-the coordinator tracks which chunk each worker holds, detects
-individual worker death, respawns dead workers (up to a cap) and
-re-dispatches the lost chunk; a failing chunk is retried up to
-``max_retries`` and a chunk that fails deterministically — or exceeds
-``chunk_timeout`` wall-clock — quarantines its walk (status
-``failed``, reported in :attr:`PortfolioResult.failures`) while the
-survivors finish the run.  ``strict=True`` restores fail-fast
-semantics.  An optional ``run_dir`` snapshots every walk checkpoint
-plus the coordinator state (atomic write-rename, versioned manifest —
-see :mod:`repro.parallel.persist`) so :meth:`PortfolioRunner.resume`
-continues an interrupted run bit-identically.  All of it is exercised
+a worker's death or silence revokes its lease and re-dispatches the
+chunk, and a dead local worker is respawned (up to a cap); a failing
+chunk is retried up to ``max_retries`` and a chunk that fails
+deterministically — or exceeds ``chunk_timeout`` wall-clock —
+quarantines its walk (status ``failed``, reported in
+:attr:`PortfolioResult.failures`) while the survivors finish the run.
+``strict=True`` restores fail-fast semantics.  An optional ``run_dir``
+snapshots every walk checkpoint plus the coordinator state (atomic
+write-rename, versioned manifest — see :mod:`repro.parallel.persist`)
+so :meth:`PortfolioRunner.resume` continues an interrupted run
+bit-identically.  All of it is exercised
 deterministically through :class:`~repro.parallel.faults.FaultPlan`.
 
 **Restart policies.**
@@ -55,15 +64,11 @@ deterministically through :class:`~repro.parallel.faults.FaultPlan`.
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import os
-import queue
 import random
 import threading
-from multiprocessing import connection as mp_connection
 import time
 import traceback
-import warnings
 from collections import deque
 from dataclasses import dataclass, replace
 from math import ceil
@@ -71,13 +76,13 @@ from typing import Callable, Iterable
 
 from ..anneal import AnnealingStats, WalkCheckpoint
 from ..circuit import Circuit
+from ..cost import reference_model
 from ..workloads import resolve_workload
 from .engines import (
     ENGINE_NAMES,
     build_config,
     build_placer,
     compress_overrides,
-    reference_cost_model,
     validate_engines,
     verify_walk_checkpoint,
     walk_chunk_count,
@@ -113,24 +118,18 @@ _POLISH_T0 = 0.05
 #: seed offset separating polish draws from every sweep seed
 _POLISH_SEED_OFFSET = 100_003
 
-#: result-queue poll interval: the cadence of liveness + timeout checks
-_POLL_INTERVAL_S = 0.2
-
 #: how long a ``hang`` fault sleeps before giving up and raising (a
 #: chunk timeout is expected to kill the worker long before this)
 _HANG_FAULT_S = 3600.0
 
-#: default worker-death respawn cap per run: ``2 * workers``
-_RESPAWNS_PER_WORKER = 2
-
-#: default seconds a remote chunk lease survives without a heartbeat
+#: default seconds a chunk lease survives without a heartbeat
 _DEFAULT_LEASE_TIMEOUT = 10.0
 
 
 # -- worker side --------------------------------------------------------------
 #
-# Everything below runs identically in a spawned worker process and in
-# the in-process executor (workers <= 1), so parallel and serial runs
+# Everything below runs identically in a worker process and in the
+# in-process executor (workers <= 1), so parallel and serial runs
 # share one execution path and one answer.
 
 #: per-*thread* placer/engine memo: (circuit, engine, overrides) -> pair.
@@ -261,36 +260,6 @@ def _execute(task: ChunkTask) -> ChunkResult:
     )
 
 
-def _worker_main(worker_id: int, task_queue, result_conn) -> None:
-    """Worker loop: pull ``(task_id, attempt, task)`` triples until the
-    ``None`` sentinel; results go back over this worker's *private*
-    pipe, echoing the ``(task_id, attempt)`` epoch they answer.
-
-    Results deliberately do **not** share a queue across workers: a
-    shared ``multiprocessing.Queue`` guards its pipe with a lock held
-    across every write, and a worker that dies abruptly (``os._exit``,
-    OOM kill) can die *holding it* — wedging every surviving worker's
-    feeder thread and losing their results forever.  A private pipe has
-    no cross-worker lock: a dying worker can only ever lose its own
-    messages, which is exactly the case supervision already recovers,
-    and the closed pipe doubles as an immediate death signal.
-    """
-    try:
-        while True:
-            item = task_queue.get()
-            if item is None:
-                return
-            task_id, attempt, task = item
-            try:
-                result_conn.send(("ok", task_id, attempt, _execute(task)))
-            except Exception:  # surfaced (with traceback) by the coordinator
-                result_conn.send(
-                    ("error", task_id, attempt, traceback.format_exc())
-                )
-    finally:
-        result_conn.close()
-
-
 # -- supervision --------------------------------------------------------------
 
 
@@ -372,7 +341,7 @@ def resolve_chunk_failure(
 ) -> ChunkFailure | None:
     """One failed execution attempt, resolved the same way everywhere.
 
-    Shared by every executor (inline, process pool, remote): under
+    Shared by both executors (inline and lease-supervised): under
     ``strict`` the original failure aborts the run; otherwise the
     attempt is counted and the chunk is either requeued for retry
     (``None``) or the walk is given its terminal :class:`ChunkFailure`.
@@ -400,8 +369,8 @@ class _InlineExecutor:
 
     FIFO order makes serial runs reproducible step for step; because
     trajectories are scheduling-independent anyway, its results are
-    identical to the process executor's.  Retry and quarantine follow
-    the same :class:`_ChunkSupervisor` rules as the worker pool;
+    identical to the socket executor's.  Retry and quarantine follow
+    the same :class:`_ChunkSupervisor` rules as worker processes;
     ``hang``/``die`` faults and chunk timeouts need a real process to
     kill, so the runner rejects them for in-process execution.
     """
@@ -435,376 +404,6 @@ class _InlineExecutor:
 
     def close(self) -> None:
         self._queue.clear()
-
-
-@dataclass
-class _WorkerHandle:
-    """One live worker process plus its private task queue and result pipe."""
-
-    worker_id: int
-    proc: object
-    task_queue: object
-    conn: object
-
-
-@dataclass
-class _InFlight:
-    """One chunk a specific worker currently owns.
-
-    ``attempt`` is the execution epoch this dispatch belongs to: a
-    result echoing any other ``(task_id, attempt)`` pair answers a
-    superseded execution and is discarded instead of counted.
-    """
-
-    task_id: int
-    task: ChunkTask
-    chunk_index: int
-    attempt: int
-    started: float
-
-
-class _ProcessExecutor:
-    """Supervised spawn-based worker pool.
-
-    ``spawn`` (never ``fork``) so workers import the package fresh —
-    no inherited locks, no accidentally shared placer state, and the
-    same behavior on every platform.
-
-    Supervision model: every worker has a *private* task queue and owns
-    at most one chunk at a time; undispatched chunks wait in a
-    coordinator-side backlog.  That makes chunk ownership exact — when
-    a worker dies the coordinator knows precisely which chunk died with
-    it, re-dispatches it to a surviving worker (chunk execution is a
-    pure function of ``(spec, checkpoint)``, so a re-run is
-    bit-identical) and respawns the worker while ``max_respawns``
-    lasts.  A chunk exceeding ``chunk_timeout`` wall-clock gets its
-    worker killed and is treated as a failed attempt.  Results travel
-    over per-worker pipes (no lock shared across workers — see
-    :func:`_worker_main`) and carry the dispatching ``task_id``, so
-    anything from a worker that was already declared dead or timed out
-    is recognized as stale and dropped, and a worker's death surfaces
-    immediately as EOF on its pipe instead of waiting for a liveness
-    poll.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        supervisor: _ChunkSupervisor,
-        *,
-        chunk_timeout: float | None = None,
-        max_respawns: int | None = None,
-        on_incident: Callable[[int | None, str, str], None] | None = None,
-        recorder=NULL_RECORDER,
-    ) -> None:
-        self._supervisor = supervisor
-        self._chunk_timeout = chunk_timeout
-        self._respawns_left = (
-            _RESPAWNS_PER_WORKER * workers if max_respawns is None else max_respawns
-        )
-        self._on_incident = on_incident
-        self._recorder = recorder
-        #: per-worker (busy seconds, chunks completed) — volatile,
-        #: surfaced as ``executor.worker`` utilization events at close
-        self._worker_usage: dict[int, list[float]] = {}
-        self._ctx = multiprocessing.get_context("spawn")
-        self._workers: dict[int, _WorkerHandle] = {}
-        self._idle: deque[int] = deque()
-        self._backlog: deque[tuple[ChunkTask, int]] = deque()
-        self._owner: dict[int, _InFlight] = {}
-        self._next_worker_id = 0
-        self._next_task_id = 0
-        for _ in range(workers):
-            self._spawn_worker()
-
-    # -- pool management ------------------------------------------------------
-
-    def _spawn_worker(self) -> int:
-        worker_id = self._next_worker_id
-        self._next_worker_id += 1
-        task_queue = self._ctx.Queue()
-        recv_conn, send_conn = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(worker_id, task_queue, send_conn),
-            daemon=True,
-        )
-        proc.start()
-        # drop the coordinator's copy of the send end so the pipe hits
-        # EOF the instant the worker (its only writer) dies
-        send_conn.close()
-        self._workers[worker_id] = _WorkerHandle(
-            worker_id, proc, task_queue, recv_conn
-        )
-        self._idle.append(worker_id)
-        return worker_id
-
-    def _incident(self, walk_id: int | None, kind: str, detail: str) -> None:
-        if self._on_incident is not None:
-            self._on_incident(walk_id, kind, detail)
-
-    # -- dispatch / collect ---------------------------------------------------
-
-    def dispatch(self, task: ChunkTask) -> None:
-        self._backlog.append(
-            (task, self._supervisor.begin_chunk(task.spec.walk_id))
-        )
-        self._pump()
-
-    def _pump(self) -> None:
-        """Hand backlog chunks to idle workers (one chunk per worker)."""
-        while self._idle and self._backlog:
-            worker_id = self._idle.popleft()
-            handle = self._workers.get(worker_id)
-            if handle is None:  # died while idle; _reap_dead handles it
-                continue
-            task, chunk_index = self._backlog.popleft()
-            task_id = self._next_task_id
-            self._next_task_id += 1
-            attempt = self._supervisor.attempts(task.spec.walk_id)
-            self._owner[worker_id] = _InFlight(
-                task_id, task, chunk_index, attempt, time.monotonic()
-            )
-            handle.task_queue.put(
-                (task_id, attempt, self._supervisor.arm(task, chunk_index))
-            )
-
-    def collect(self) -> ChunkResult | ChunkFailure:
-        while True:
-            self._pump()
-            if not self._workers:
-                # e.g. workers that failed during interpreter bootstrap,
-                # with the respawn budget exhausted
-                raise RuntimeError(
-                    "all portfolio workers exited without producing results"
-                )
-            by_conn = {
-                handle.conn: handle.worker_id
-                for handle in self._workers.values()
-            }
-            ready = mp_connection.wait(by_conn, timeout=_POLL_INTERVAL_S)
-            if not ready:
-                failure = self._reap_dead()
-                if failure is None:
-                    failure = self._reap_timeouts()
-                if failure is not None:
-                    return failure
-                continue
-            conn = ready[0]
-            worker_id = by_conn[conn]
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                # the worker died: its pipe reports EOF immediately,
-                # even while other workers are alive and busy
-                failure = self._worker_died(worker_id)
-                if failure is not None:
-                    return failure
-                continue
-            kind, task_id, attempt = message[0], message[1], message[2]
-            inflight = self._owner.get(worker_id)
-            if (
-                inflight is None
-                or inflight.task_id != task_id
-                or inflight.attempt != attempt
-            ):
-                # stale: the chunk's attempt was superseded (re-dispatch
-                # after a timeout/death raced the predecessor's answer);
-                # counting it would double-book the walk's progress
-                continue
-            del self._owner[worker_id]
-            if worker_id in self._workers:
-                self._idle.append(worker_id)
-            if kind == "ok":
-                result = message[3]
-                if self._recorder.enabled:
-                    self._note_chunk(worker_id, inflight, result)
-                return result
-            failure = self._chunk_failed(
-                inflight.task, inflight.chunk_index, "error", message[3]
-            )
-            if failure is not None:
-                return failure
-
-    def _note_chunk(
-        self, worker_id: int, inflight: _InFlight, result: ChunkResult
-    ) -> None:
-        """Telemetry for one completed chunk: queue wait (time between
-        dispatch and collection not spent annealing — pickling, queue
-        sitting, scheduling) and per-worker busy accounting.  The whole
-        event is wall-only: which pool slot ran which chunk on which
-        attempt is a scheduling fact, so the canonical trace view stays
-        identical across worker counts."""
-        total = time.monotonic() - inflight.started
-        usage = self._worker_usage.setdefault(worker_id, [0.0, 0])
-        usage[0] += result.elapsed_s
-        usage[1] += 1
-        self._recorder.event(
-            "executor.chunk",
-            wall={
-                "worker": worker_id,
-                "walk": inflight.task.spec.walk_id,
-                "chunk": inflight.chunk_index,
-                "attempt": inflight.attempt,
-                "exec_s": result.elapsed_s,
-                "total_s": round(total, 6),
-                "queue_wait_s": round(max(0.0, total - result.elapsed_s), 6),
-            },
-        )
-
-    def _chunk_failed(
-        self, task: ChunkTask, chunk_index: int, reason: str, detail: str
-    ) -> ChunkFailure | None:
-        """One attempt failed: retry (``None``) or quarantine the walk."""
-
-        def requeue(task: ChunkTask, chunk_index: int) -> None:
-            self._backlog.append((task, chunk_index))
-            self._pump()
-
-        return resolve_chunk_failure(
-            self._supervisor, task, chunk_index, reason, detail,
-            requeue, self._incident,
-        )
-
-    def _reap_dead(self) -> ChunkFailure | None:
-        """Liveness fallback: catch deaths whose pipe never hit EOF
-        (the send end leaked into a grandchild, say).  The common path
-        is the EOF branch in :meth:`collect`."""
-        for worker_id in [
-            handle.worker_id
-            for handle in self._workers.values()
-            if not handle.proc.is_alive()
-        ]:
-            failure = self._worker_died(worker_id)
-            if failure is not None:
-                return failure
-        return None
-
-    def _worker_died(self, worker_id: int) -> ChunkFailure | None:
-        """Remove a dead worker, respawn it, re-dispatch its lost chunk."""
-        handle = self._workers.pop(worker_id, None)
-        if handle is None:
-            return None
-        handle.proc.join(timeout=5)
-        handle.conn.close()
-        try:
-            self._idle.remove(worker_id)
-        except ValueError:
-            pass
-        if self._respawns_left > 0:
-            self._respawns_left -= 1
-            replacement = self._spawn_worker()
-            self._incident(
-                None,
-                "respawn",
-                f"worker {worker_id} died (exit code "
-                f"{handle.proc.exitcode}); respawned as worker {replacement}",
-            )
-        inflight = self._owner.pop(worker_id, None)
-        if inflight is not None:
-            return self._chunk_failed(
-                inflight.task,
-                inflight.chunk_index,
-                "worker-death",
-                f"worker {worker_id} died holding the chunk "
-                f"(exit code {handle.proc.exitcode})",
-            )
-        return None
-
-    def _reap_timeouts(self) -> ChunkFailure | None:
-        """Kill workers whose chunk exceeded the wall-clock limit."""
-        if self._chunk_timeout is None:
-            return None
-        now = time.monotonic()
-        expired = [
-            (worker_id, inflight)
-            for worker_id, inflight in self._owner.items()
-            if now - inflight.started > self._chunk_timeout
-        ]
-        for worker_id, inflight in expired:
-            del self._owner[worker_id]
-            handle = self._workers.pop(worker_id, None)
-            if handle is not None:
-                self._stop_worker(handle)
-                handle.conn.close()
-            if self._respawns_left > 0:
-                self._respawns_left -= 1
-                replacement = self._spawn_worker()
-                self._incident(
-                    inflight.task.spec.walk_id,
-                    "timeout",
-                    f"worker {worker_id} killed after exceeding the "
-                    f"{self._chunk_timeout:g}s chunk timeout; respawned as "
-                    f"worker {replacement}",
-                )
-            failure = self._chunk_failed(
-                inflight.task,
-                inflight.chunk_index,
-                "timeout",
-                f"chunk exceeded the {self._chunk_timeout:g}s wall-clock "
-                f"timeout (walk {inflight.task.spec.walk_id}, chunk "
-                f"{inflight.chunk_index})",
-            )
-            if failure is not None:
-                return failure
-        return None
-
-    @staticmethod
-    def _stop_worker(handle: _WorkerHandle) -> None:
-        handle.proc.terminate()
-        handle.proc.join(timeout=5)
-        if handle.proc.is_alive():  # pragma: no cover - SIGTERM ignored
-            handle.proc.kill()
-            handle.proc.join(timeout=5)
-
-    def close(self) -> None:
-        """Shut the pool down without ever hanging.
-
-        Workers already gone (crashed, killed) simply get no sentinel;
-        a worker that ignores its sentinel for 10s is terminated.  Task
-        queues use ``cancel_join_thread`` so a sentinel still sitting
-        in a dead worker's queue buffer cannot deadlock the feeder
-        thread at interpreter exit.  One warning summarizes any
-        non-clean shutdown instead of hanging or spamming.
-        """
-        if self._recorder.enabled:
-            for worker_id, (busy_s, chunks) in sorted(self._worker_usage.items()):
-                self._recorder.event(
-                    "executor.worker",
-                    wall={
-                        "worker": worker_id,
-                        "busy_s": round(busy_s, 6),
-                        "chunks": int(chunks),
-                    },
-                )
-            self._worker_usage.clear()
-        stuck = []
-        for handle in self._workers.values():
-            if not handle.proc.is_alive():
-                continue
-            try:
-                handle.task_queue.put_nowait(None)
-            except (queue.Full, ValueError, OSError):  # pragma: no cover
-                pass  # abandoned queue: the join/terminate path handles it
-        for handle in self._workers.values():
-            handle.proc.join(timeout=10)
-            if handle.proc.is_alive():
-                stuck.append(handle.worker_id)
-                self._stop_worker(handle)
-        if stuck:
-            warnings.warn(
-                f"portfolio worker(s) {stuck} did not exit cleanly and were "
-                "terminated",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        for handle in self._workers.values():
-            handle.task_queue.close()
-            handle.task_queue.cancel_join_thread()
-            handle.conn.close()
-        self._workers.clear()
-        self._idle.clear()
-        self._owner.clear()
 
 
 # -- coordinator --------------------------------------------------------------
@@ -850,7 +449,9 @@ class PortfolioRunner:
         with seed ``seeds[i]``.
     workers:
         ``<= 1`` runs in-process (deterministic serial execution, no
-        multiprocessing); ``N > 1`` spawns ``N`` worker processes.
+        multiprocessing); ``N > 1`` spawns ``N`` local worker processes,
+        which join the run over a private Unix socket and execute
+        chunks under the same leases as remote workers.
     seeds:
         Explicit seed sweep (defaults to ``base_seed + i``).  Restart
         policies draw fresh seeds after the sweep.
@@ -876,15 +477,16 @@ class PortfolioRunner:
         Execution attempts a chunk gets beyond the first before its
         walk is quarantined (default 2; ignored under ``strict``).
     chunk_timeout:
-        Wall-clock seconds a chunk may run before its worker is killed
-        and the attempt counts as failed.  Requires ``workers > 1``
+        Wall-clock seconds a chunk may run before its lease is revoked
+        (a local worker is killed and respawned) and the attempt counts
+        as failed.  Requires ``workers > 1`` or a ``listen`` address
         (in-process execution cannot preempt itself).
     strict:
         Fail-fast semantics: the first chunk error aborts the whole
         run (no retries, no quarantine) exactly as before the
         fault-tolerant executor existed.
     max_respawns:
-        Cap on worker respawns per run (default ``2 * workers``).
+        Cap on local worker respawns per run (default ``2 * workers``).
     run_dir:
         Directory to snapshot the run into (see
         :mod:`repro.parallel.persist`); must not already hold a run.
@@ -892,8 +494,8 @@ class PortfolioRunner:
     fault_plan:
         Deterministic fault injection for tests/CI (see
         :mod:`repro.parallel.faults`).  ``hang``/``die`` faults need
-        ``workers > 1`` or a ``listen`` address; network faults need
-        ``listen``.
+        ``workers > 1`` or a ``listen`` address, and ``hang`` also a
+        ``chunk_timeout``; network faults need ``listen``.
     listen:
         Address to serve the distributed execution tier on —
         ``"host:port"`` / ``"unix:/path.sock"`` (or the parsed form).
@@ -906,16 +508,16 @@ class PortfolioRunner:
         vanishes.
     lease_timeout:
         Seconds a dispatched chunk's lease survives without a
-        heartbeat from its worker before it is revoked and the chunk is
-        re-dispatched (default 10).
+        heartbeat from its worker, local or remote, before it is
+        revoked and the chunk is re-dispatched (default 10).
     heartbeat_interval:
         Seconds between worker heartbeats (default: a quarter of the
         lease timeout); must be shorter than ``lease_timeout``.
     on_listen:
         Callback receiving the bound listen address (host/port
-        resolved, so ``port 0`` becomes the real ephemeral port) the
-        moment the coordinator starts serving — the handle workers need
-        to connect.
+        resolved, so ``port 0`` becomes the real ephemeral port; for a
+        local pool, its private socket) the moment the coordinator
+        starts serving — the handle workers need to connect.
     trace:
         Telemetry flight-recorder destination: a directory path (or a
         full :class:`~repro.telemetry.TraceConfig`) to write
@@ -1009,15 +611,11 @@ class PortfolioRunner:
                     "duplicate-result) need a listen address: there is no "
                     "socket to abuse locally"
                 )
-            if (
-                fault_plan.has_kind("hang")
-                and listen is not None
-                and chunk_timeout is None
-            ):
+            if fault_plan.has_kind("hang") and chunk_timeout is None:
                 raise ValueError(
-                    "a 'hang' fault on a remote run needs a chunk_timeout: "
-                    "a hung remote worker still heartbeats, so only the "
-                    "hard per-chunk deadline can revoke its lease"
+                    "a 'hang' fault needs a chunk_timeout: a hung worker "
+                    "still heartbeats, so only the hard per-chunk deadline "
+                    "can revoke its lease"
                 )
         self._circuit_name = circuit
         # fail fast on unknown names; the coordinator cache keeps the
@@ -1191,7 +789,7 @@ class PortfolioRunner:
             workers=self._workers,
             resumed=self._resume_state is not None,
         )
-        self._ref = reference_cost_model(_circuit_for(self._circuit_name))
+        self._ref = reference_model(_circuit_for(self._circuit_name))
         supervisor = _ChunkSupervisor(
             self._max_retries, self._fault_plan, self._strict
         )
@@ -1200,27 +798,22 @@ class PortfolioRunner:
                 supervisor.preset_chunks(
                     walk.spec.walk_id, walk.checkpoint.step // walk.chunk
                 )
-        if self._listen is not None:
+        if self._listen is not None or self._workers > 1:
             # imported lazily: remote.py imports this module at load
             from .remote import RemoteExecutor
 
+            # no listen address: the executor serves a private pool of
+            # local workers under the same leases as remote peers
             executor = RemoteExecutor(
                 self._listen,
                 supervisor,
+                workers=self._workers if self._listen is None else 0,
+                max_respawns=self._max_respawns,
                 lease_timeout=self._lease_timeout,
                 heartbeat_interval=self._heartbeat_interval,
                 chunk_timeout=self._chunk_timeout,
                 on_incident=self._incident,
                 on_listen=self._on_listen,
-                recorder=self._recorder,
-            )
-        elif self._workers > 1:
-            executor = _ProcessExecutor(
-                self._workers,
-                supervisor,
-                chunk_timeout=self._chunk_timeout,
-                max_respawns=self._max_respawns,
-                on_incident=self._incident,
                 recorder=self._recorder,
             )
         else:
@@ -1245,8 +838,6 @@ class PortfolioRunner:
             with self._recorder.span("portfolio.polish"):
                 self._polish(outcomes, executor)
         finally:
-            # executor.close() emits its worker-utilization events, so
-            # it must run before the recorder is flushed
             executor.close()
             self._recorder.flush()
         elapsed = time.perf_counter() - started

@@ -54,7 +54,7 @@ def _table1(key: str) -> Callable[[], Circuit]:
     return lambda: table1_circuit(key)
 
 
-#: built-in workload name -> builder (the old ``circuit_by_name`` set)
+#: built-in workload name -> function that builds it
 BUILTIN_WORKLOADS: dict[str, Callable[[], Circuit]] = dict(
     sorted(
         {

@@ -189,3 +189,20 @@ class TestReport:
         totals = counter_totals(trace)
         assert all(isinstance(v, int) for v in totals.values())
         assert worker_utilization(trace) == {}  # serial run: no pool
+
+    def test_worker_rows_ignore_the_old_close_time_summary(self, tmp_path):
+        """Older traces also carry an ``executor.worker`` summary per
+        pool worker; rows are rebuilt from the chunk events alone and
+        match what that summary said."""
+        with TraceRecorder(tmp_path, stream="coordinator") as rec:
+            for exec_s in (0.1, 0.2):
+                rec.event(
+                    "executor.chunk",
+                    wall={"worker": 0, "exec_s": exec_s, "queue_wait_s": 0.01},
+                )
+            rec.event(
+                "executor.worker", wall={"worker": 0, "busy_s": 0.3, "chunks": 2}
+            )
+        assert worker_utilization(load_trace(tmp_path)) == {
+            "0": {"busy_s": 0.3, "chunks": 2, "queue_wait_s": 0.02}
+        }

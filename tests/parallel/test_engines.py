@@ -3,13 +3,13 @@
 import pytest
 
 from repro.circuit import miller_opamp
+from repro.cost import reference_model
 from repro.parallel import (
     ENGINE_NAMES,
     WalkSpec,
     build_placer,
     build_placer_by_name,
     compress_overrides,
-    reference_cost,
     validate_engines,
     walk_total_steps,
 )
@@ -68,7 +68,7 @@ class TestBudgets:
 class TestReferenceCost:
     def test_scores_every_engines_placement_on_one_scale(self):
         circuit = miller_opamp()
-        ref = reference_cost(circuit)
+        ref = reference_model(circuit).evaluate_placement
         costs = {}
         for engine in ENGINE_NAMES:
             placer = build_placer(circuit, spec_for(engine))
@@ -83,13 +83,14 @@ class TestReferenceCost:
         placer = build_placer(circuit, spec_for("bstar"))
         result = placer.run()
         violations = circuit.constraints().violations(result.placement)
-        assert reference_cost(circuit)(result.placement) == pytest.approx(
+        ref = reference_model(circuit).evaluate_placement
+        assert ref(result.placement) == pytest.approx(
             result.cost + 2.0 * len(violations), rel=1e-9
         )
 
     def test_constraint_violations_demote_a_placement(self):
         circuit = miller_opamp()
-        ref = reference_cost(circuit)
+        ref = reference_model(circuit).evaluate_placement
         clean = build_placer(circuit, spec_for("hbtree")).run().placement
         flat = build_placer(circuit, spec_for("bstar")).run().placement
         if circuit.constraints().violations(flat):

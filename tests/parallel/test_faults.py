@@ -10,16 +10,17 @@ load-bearing invariants:
 * a *deterministic* fault quarantines its walk and the survivors'
   leaderboard rows match the fault-free run's rows exactly;
 * worker death (``die``), wedged workers (``hang`` + timeout) and an
-  externally SIGKILLed task-holder all end in a finished run, never a
+  externally SIGKILLed lease holder all end in a finished run, never a
   hang.
 
 Process-pool cases run under ``workers=2`` (the minimum that exercises
 supervision); everything else runs inline for speed.
 """
 
-import multiprocessing
 import os
 import signal
+import socket
+import stat
 import threading
 import time
 
@@ -27,20 +28,18 @@ import pytest
 
 from repro.parallel import (
     FAILED,
+    PROTOCOL_VERSION,
     PortfolioRunner,
     ChunkTask,
     Fault,
     FaultInjected,
     FaultPlan,
+    RemoteExecutor,
     WalkSpec,
 )
 from repro.parallel.jobs import ChunkFailure, ChunkResult
-from repro.parallel.runner import (
-    _ChunkSupervisor,
-    _ProcessExecutor,
-    _WorkerHandle,
-    _execute,
-)
+from repro.parallel.net import MessageStream, connect_socket
+from repro.parallel.runner import _ChunkSupervisor, _execute
 
 #: short schedules so a walk is a few hundred steps
 FAST = (("alpha", 0.7), ("steps_per_epoch", 20), ("t_final", 1e-2))
@@ -275,9 +274,9 @@ class TestProcessSupervision:
             )
 
     def test_sigkilled_task_holder_does_not_hang_collect(self):
-        """Regression: some workers alive, the task-holder SIGKILLed.
+        """Regression: some workers alive, the lease holder SIGKILLed.
 
-        The coordinator must notice the death (pipe EOF), respawn, and
+        The coordinator must notice the death (socket EOF), respawn, and
         re-dispatch the lost chunk — ``collect`` historically span
         forever because liveness was only checked when *no* results
         were pending anywhere."""
@@ -288,18 +287,18 @@ class TestProcessSupervision:
             fault_plan=FaultPlan([Fault(0, 0, "hang")]),  # parks the holder
             strict=False,
         )
-        executor = _ProcessExecutor(2, supervisor)
+        executor = RemoteExecutor(None, supervisor, workers=2)
         try:
             executor.dispatch(ChunkTask(spec=spec0, checkpoint=None, max_steps=40))
             executor.dispatch(ChunkTask(spec=spec1, checkpoint=None, max_steps=40))
             first = _collect_with_deadline(executor)  # walk 1: healthy worker
             assert isinstance(first, ChunkResult) and first.walk_id == 1
             holder = next(
-                worker_id
-                for worker_id, inflight in executor._owner.items()
-                if inflight.task.spec.walk_id == 0
+                lease.peer.name
+                for lease in executor._leases.values()
+                if lease.task.spec.walk_id == 0
             )
-            os.kill(executor._workers[holder].proc.pid, signal.SIGKILL)
+            os.kill(executor._local[holder].pid, signal.SIGKILL)
             second = _collect_with_deadline(executor)
             # the retry (attempt 1) is not armed, so the chunk lands
             assert isinstance(second, ChunkResult) and second.walk_id == 0
@@ -308,13 +307,18 @@ class TestProcessSupervision:
 
     def test_close_with_sigkilled_workers_does_not_deadlock(self):
         supervisor = _ChunkSupervisor(max_retries=0, fault_plan=None, strict=False)
-        executor = _ProcessExecutor(2, supervisor)
-        for handle in executor._workers.values():
-            handle.proc.join(timeout=0.1)  # let spawn finish starting
-            os.kill(handle.proc.pid, signal.SIGKILL)
+        executor = RemoteExecutor(None, supervisor, workers=2)
+        # the pool listens on a Unix socket in a private directory
+        pool_dir = executor._pool_dir
+        assert executor._listener.family == socket.AF_UNIX
+        assert stat.S_IMODE(os.stat(pool_dir).st_mode) == 0o700
+        for process in executor._local.values():
+            process.join(timeout=0.1)  # let spawn finish starting
+            os.kill(process.pid, signal.SIGKILL)
         started = time.monotonic()
         executor.close()
         assert time.monotonic() - started < 15
+        assert not os.path.exists(pool_dir)
 
     def test_respawn_budget_exhaustion_raises_not_hangs(self):
         """Workers dying faster than the respawn cap must end in the
@@ -335,29 +339,6 @@ class TestProcessSupervision:
             )
 
 
-class _FakeProc:
-    """Stand-in worker process for driving _ProcessExecutor by hand."""
-
-    pid = -1
-    exitcode = None
-
-    def is_alive(self) -> bool:
-        return True
-
-    def join(self, timeout=None) -> None:
-        pass
-
-
-class _FakeQueue:
-    """Task-queue stub that just records what the coordinator sent."""
-
-    def __init__(self) -> None:
-        self.items: list = []
-
-    def put(self, item) -> None:
-        self.items.append(item)
-
-
 class TestStaleResultEpoch:
     """Satellite regression: results from superseded attempts.
 
@@ -369,61 +350,71 @@ class TestStaleResultEpoch:
     wrong checkpoint.
     """
 
-    def _rigged_executor(self):
-        """A 0-worker pool plus one hand-driven fake worker, so the test
-        can write arbitrary (including stale) result messages into the
-        exact pipe ``collect`` reads."""
+    def _answer_twice(self, tmp_path, stale):
+        """A coordinator on a Unix socket plus one hand-driven fake
+        peer, which writes arbitrary (including stale) result frames
+        into the exact socket ``collect`` reads: it takes its one lease,
+        answers first with the coordinates ``stale(task_id, attempt)``
+        and a bogus result, then genuinely.  Returns what ``collect``
+        produced and the genuine result."""
+        address = str(tmp_path / "c.sock")
         supervisor = _ChunkSupervisor(max_retries=2, fault_plan=None, strict=False)
-        executor = _ProcessExecutor(0, supervisor)
-        recv_conn, send_conn = multiprocessing.Pipe(duplex=False)
-        handle = _WorkerHandle(0, _FakeProc(), _FakeQueue(), recv_conn)
-        executor._workers[0] = handle
-        executor._idle.append(0)
-        return executor, handle, send_conn
+        executor = RemoteExecutor(address, supervisor)
+        box: dict = {}
 
-    def _teardown(self, executor, send_conn) -> None:
-        send_conn.close()
-        for handle in executor._workers.values():
-            handle.conn.close()
-        executor._workers.clear()
-        executor._idle.clear()
-        executor._owner.clear()
-        executor.close()
+        def fake_peer() -> None:
+            stream = MessageStream(connect_socket(address, timeout=5.0))
+            try:
+                stream.send("hello", version=PROTOCOL_VERSION, name="fake")
+                assert stream.recv(timeout=30.0)[0] == "welcome"
+                kind, lease = stream.recv(timeout=30.0)
+                assert kind == "task"
+                task_id, attempt = lease["task_id"], lease["attempt"]
+                bogus = ChunkResult(walk_id=0, checkpoint="NOT A CHECKPOINT")
+                stale_id, stale_attempt = stale(task_id, attempt)
+                stream.send(
+                    "result", task_id=stale_id, walk_id=0,
+                    chunk=lease["chunk"], attempt=stale_attempt, result=bogus,
+                )
+                box["genuine"] = _execute(lease["task"])
+                stream.send(
+                    "result", task_id=task_id, walk_id=0, chunk=lease["chunk"],
+                    attempt=attempt, result=box["genuine"],
+                )
+            except BaseException as exc:  # surfaced below
+                box["exc"] = exc
+            finally:
+                stream.close()
 
-    def test_stale_attempt_result_is_discarded(self):
-        executor, handle, send_conn = self._rigged_executor()
+        peer = threading.Thread(target=fake_peer, daemon=True)
+        peer.start()
         try:
             spec = WalkSpec(0, "miller_opamp", "bstar", 0, FAST)
             executor.dispatch(ChunkTask(spec=spec, checkpoint=None, max_steps=40))
-            task_id, attempt, armed = handle.task_queue.items[0]
-            bogus = ChunkResult(walk_id=0, checkpoint="NOT A CHECKPOINT")
-            # the predecessor's late answer: same task, superseded epoch
-            send_conn.send(("ok", task_id, attempt + 1, bogus))
-            genuine = _execute(armed)
-            send_conn.send(("ok", task_id, attempt, genuine))
             out = _collect_with_deadline(executor)
-            assert isinstance(out, ChunkResult)
-            assert out.checkpoint.step == genuine.checkpoint.step
-            assert out.checkpoint.best_cost == genuine.checkpoint.best_cost
         finally:
-            self._teardown(executor, send_conn)
+            executor.close()
+            peer.join(timeout=30)
+        if "exc" in box:
+            raise box["exc"]
+        return out, box["genuine"]
 
-    def test_stale_task_id_result_is_discarded(self):
-        executor, handle, send_conn = self._rigged_executor()
-        try:
-            spec = WalkSpec(0, "miller_opamp", "bstar", 0, FAST)
-            executor.dispatch(ChunkTask(spec=spec, checkpoint=None, max_steps=40))
-            task_id, attempt, armed = handle.task_queue.items[0]
-            bogus = ChunkResult(walk_id=0, checkpoint="NOT A CHECKPOINT")
-            # an answer to a task that was never this dispatch at all
-            send_conn.send(("ok", task_id + 99, attempt, bogus))
-            genuine = _execute(armed)
-            send_conn.send(("ok", task_id, attempt, genuine))
-            out = _collect_with_deadline(executor)
-            assert isinstance(out, ChunkResult)
-            assert out.checkpoint.step == genuine.checkpoint.step
-        finally:
-            self._teardown(executor, send_conn)
+    def test_stale_attempt_result_is_discarded(self, tmp_path):
+        # the predecessor's late answer: same task, superseded epoch
+        out, genuine = self._answer_twice(
+            tmp_path, lambda task_id, attempt: (task_id, attempt + 1)
+        )
+        assert isinstance(out, ChunkResult)
+        assert out.checkpoint.step == genuine.checkpoint.step
+        assert out.checkpoint.best_cost == genuine.checkpoint.best_cost
+
+    def test_stale_task_id_result_is_discarded(self, tmp_path):
+        # an answer to a task that was never this dispatch at all
+        out, genuine = self._answer_twice(
+            tmp_path, lambda task_id, attempt: (task_id + 99, attempt)
+        )
+        assert isinstance(out, ChunkResult)
+        assert out.checkpoint.step == genuine.checkpoint.step
 
     def test_supervisor_epoch_bookkeeping(self):
         supervisor = _ChunkSupervisor(max_retries=2, fault_plan=None, strict=False)

@@ -81,9 +81,10 @@ def _runner(**kwargs):
     )
 
 
-def _start_coordinator(**kwargs):
-    """Run a listening runner on a thread; returns (bound address,
-    result box, thread).  The box holds ``res`` or ``exc`` at join."""
+def _start_coordinator(listen=("127.0.0.1", 0), **kwargs):
+    """Run a runner listening on ``listen`` on a thread; returns (bound
+    address, result box, thread).  The box holds ``res`` or ``exc`` at
+    join."""
     ready = threading.Event()
     box: dict = {}
 
@@ -91,7 +92,7 @@ def _start_coordinator(**kwargs):
         box["addr"] = address
         ready.set()
 
-    runner = _runner(listen=("127.0.0.1", 0), on_listen=on_listen, **kwargs)
+    runner = _runner(listen=listen, on_listen=on_listen, **kwargs)
 
     def drive() -> None:
         try:
@@ -147,11 +148,15 @@ def _reap(procs) -> None:
 
 
 class TestLoopbackIdentity:
-    def test_two_thread_workers_match_serial(self, serial_board):
-        addr, box, thread = _start_coordinator(lease_timeout=LEASE_S)
-        for i in range(2):
-            _thread_worker(addr, f"w{i}")
-        assert board(_join(box, thread)) == serial_board
+    def test_two_thread_workers_match_serial(self, serial_board, tmp_path):
+        # TCP loopback, and the text form of a Unix socket address
+        for listen in (("127.0.0.1", 0), f"unix:{tmp_path / 'c.sock'}"):
+            addr, box, thread = _start_coordinator(
+                listen, lease_timeout=LEASE_S
+            )
+            for i in range(2):
+                _thread_worker(addr, f"w{i}")
+            assert board(_join(box, thread)) == serial_board
 
     def test_two_process_workers_match_serial(self, serial_board):
         addr, box, thread = _start_coordinator(lease_timeout=LEASE_S)
@@ -372,11 +377,12 @@ class TestValidation:
             _runner(fault_plan=plan, workers=2)
 
     def test_remote_hang_needs_chunk_timeout(self):
-        # a hung remote chunk still heartbeats; only the hard per-chunk
-        # deadline can revoke its lease
+        # a hung chunk still heartbeats, remote or local; only the hard
+        # per-chunk deadline can revoke its lease
         plan = FaultPlan([Fault(0, 0, "hang")])
-        with pytest.raises(ValueError, match="chunk_timeout"):
-            _runner(fault_plan=plan, listen=("127.0.0.1", 0))
+        for executor in (dict(listen=("127.0.0.1", 0)), dict(workers=2)):
+            with pytest.raises(ValueError, match="chunk_timeout"):
+                _runner(fault_plan=plan, **executor)
 
     def test_heartbeat_must_beat_the_lease(self):
         with pytest.raises(ValueError, match="shorter than lease_timeout"):

@@ -3,7 +3,7 @@
 The flight recorder (docs/observability.md) draws nothing from the
 rng and perturbs no float — so for every execution tier a run with
 ``--trace`` armed must land the exact leaderboard of the untraced
-run.  This file locks that for serial, 2-worker multiprocess, and
+run.  This file locks that for serial, 2-worker local-pool, and
 loopback-remote portfolios, and pins the null recorder's zero-cost
 contract: with telemetry off the hot loop makes *zero* recorder
 calls per step.
@@ -17,6 +17,7 @@ import threading
 
 import pytest
 
+from repro.analysis.trace import load_trace, worker_utilization
 from repro.anneal import GeometricSchedule, IncrementalAnnealer
 from repro.bstar import BStarPlacerConfig
 from repro.parallel import PortfolioRunner, WorkerClient
@@ -59,6 +60,19 @@ class TestTracedRunsAreByteIdentical:
         traced = _run(workers=2, trace=tmp_path / "t")
         assert board(traced) == board(untraced)
         assert pickle.dumps(traced.placement) == pickle.dumps(untraced.placement)
+
+    def test_two_workers_utilization_rows(self, tmp_path):
+        # default schedules: the run outlasts the later worker's join,
+        # so both local slots execute chunks
+        PortfolioRunner(
+            CIRCUIT, ENGINES, starts=STARTS, workers=2, trace=tmp_path
+        ).run()
+        trace = load_trace(tmp_path)
+        rows = worker_utilization(trace)
+        assert set(rows) == {"local-0", "local-1"}
+        assert sum(row["chunks"] for row in rows.values()) == len(
+            trace.named("executor.chunk")
+        )
 
     def test_loopback_remote(self, untraced, tmp_path):
         threads: list[threading.Thread] = []

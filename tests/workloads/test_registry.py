@@ -1,4 +1,4 @@
-"""Registry resolution: built-ins, gen:, file:, caching, shims, errors."""
+"""Registry resolution: built-ins, gen:, file:, caching, errors."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from repro.anneal import IncrementalAnnealer
-from repro.circuit import circuit_names
 from repro.parallel import ENGINE_NAMES, PortfolioRunner, WalkSpec, build_placer
 from repro.workloads import (
     BUILTIN_WORKLOADS,
@@ -32,10 +31,9 @@ class TestBuiltins:
             assert resolve_workload(name).n_modules > 0
 
     def test_builtin_set_matches_the_legacy_registry(self):
-        """The registry absorbed circuit_by_name; the legacy accessor
-        delegates here, and the set is pinned explicitly so a name
-        can neither vanish nor appear unreviewed."""
-        assert workload_names() == circuit_names()
+        """The registry absorbed the old circuit lookup; the set is
+        pinned explicitly so a name can neither vanish nor appear
+        unreviewed."""
         assert set(BUILTIN_WORKLOADS) == {
             "miller_opamp",
             "fig2",
@@ -111,28 +109,6 @@ class TestUnknownNames:
         message = unknown_workload_message("zzz")
         for name in workload_names():
             assert name in message
-
-
-class TestDeprecationShims:
-    def test_circuit_library_shim_warns_and_works(self):
-        from repro.circuit import circuit_by_name
-
-        with pytest.warns(DeprecationWarning, match="resolve_workload"):
-            circuit = circuit_by_name("fig2")
-        assert circuit is resolve_workload("fig2")
-
-    def test_parallel_jobs_shim_warns_and_works(self):
-        from repro.parallel.jobs import circuit_by_name
-
-        with pytest.warns(DeprecationWarning, match="resolve_workload"):
-            circuit = circuit_by_name("miller_opamp")
-        assert circuit is resolve_workload("miller_opamp")
-
-    def test_shim_accepts_new_name_families_too(self):
-        from repro.circuit import circuit_by_name
-
-        with pytest.warns(DeprecationWarning):
-            assert circuit_by_name("gen:n=8,seed=1").n_modules == 8
 
 
 def _walk(circuit, engine: str, seed: int, steps: int = 200):
