@@ -26,7 +26,6 @@ from ..cost import DEFAULT_TARGET_ASPECT, DEFAULT_WEIGHTS, CostModel, model_for_
 from ..geometry import ModuleSet, Net, Placement
 from ..perf import BStarKernel, IncrementalBStarEngine, VectorBStarEngine
 from .hb_tree import HBIncrementalEngine, HBStarTreePlacement, HBState
-from .packing import pack
 from .perturb import BStarMoveSet, BStarState
 
 
@@ -148,9 +147,14 @@ class BStarPlacer:
         return self._moves.initial_state(rng)
 
     def finalize(self, state: BStarState) -> Placement:
-        """Materialize a state as a normalized :class:`Placement`."""
-        return pack(
-            state.tree, self._modules, state.orientations, state.variants
+        """Materialize a state as a normalized :class:`Placement`.
+
+        Packs through the flat kernel, whose coordinates equal the
+        object-tier :func:`~repro.bstar.packing.pack` bit for bit
+        (``tests/perf/test_kernel_equivalence.py``).
+        """
+        return self._kernel.placement(
+            state.tree, state.orientations, state.variants
         ).normalized()
 
     def run(self) -> BStarPlacerResult:

@@ -9,11 +9,14 @@ float arithmetic over a flat coordinate table.
 :class:`DeltaHPWL` is the *incremental* layer on top: it keeps one
 cached value per net plus a module -> incident-nets adjacency,
 recomputes only the nets touching modules that actually moved, and
-re-sums the per-net cache in net order — so the total stays bit
-identical to :func:`hpwl_of` while the per-step work shrinks to the
+re-sums the per-net cache left to right in net order
+(:func:`~repro.geometry.ordered_sum`; from Python 3.12 builtin ``sum``
+compensates rounding and would not) — so the total stays bit identical
+to :func:`hpwl_of` while the per-step work shrinks to the
 perturbation's neighborhood.  When a move displaces most of the design
-it falls back to a numpy-vectorized batch recompute over precomputed
-pin-index arrays (IEEE-identical per-net values, same summation order).
+it falls back to a numpy-vectorized batch recompute over degree-class
+pin tables (:func:`pin_index_tables`, :func:`batch_net_hpwl`:
+IEEE-identical per-net values, same summation order).
 It is the delta path behind :class:`repro.cost.HPWLTerm` and follows
 the same ``propose -> commit/rollback`` protocol as the annealing
 engines that drive it.
@@ -27,12 +30,14 @@ over the equivalent :class:`~repro.geometry.Placement` (see
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 try:  # numpy is a declared dependency, but keep the scalar path self-sufficient
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
+
+from ..geometry import ordered_sum
 
 if TYPE_CHECKING:  # pragma: no cover - repro.perf imports back into this
     # package, so the Coords/Net aliases must stay annotation-only here
@@ -43,48 +48,88 @@ if TYPE_CHECKING:  # pragma: no cover - repro.perf imports back into this
 ResolvedNet = tuple[float, tuple[str, ...]]
 
 
-def pin_index_tables(resolved: Sequence[ResolvedNet], names: Sequence[str]):
-    """Precompute numpy pin-index arrays for vectorized per-net HPWL.
+class PinClass(NamedTuple):
+    """The nets of one degree class, as numpy tables (see
+    :func:`pin_index_tables`)."""
 
-    Nets split into the two-pin fast path (parallel endpoint-row arrays)
-    and a CSR-style layout for multi-pin nets (``flat`` pin rows cut at
-    ``offsets``).  ``*_pos`` carries each net's position in ``resolved``
-    so per-net values scatter back into net order, keeping totals
-    summable in the exact :func:`hpwl_of` accumulation order.  Shared by
-    :class:`DeltaHPWL`'s batch recompute and the array tier
-    (:mod:`repro.perf.vector`).
+    #: each net's position in the resolved net list, ``(count,)``
+    pos: object
+    #: each net's weight, ``(count,)`` float64
+    weights: object
+    #: pin rows, ``(depth, count)``: row ``d`` holds every net's
+    #: ``d``-th pin, so a reduction over rows is full-width elementwise
+    pins: object
 
-    Returns ``(two_a, two_b, two_w, two_pos, flat, offsets, multi_w,
-    multi_pos)``; requires numpy.
+
+def pin_index_tables(
+    resolved: Sequence[ResolvedNet], names: Sequence[str]
+) -> tuple[PinClass, ...]:
+    """Group nets into degree classes for vectorized per-net HPWL.
+
+    A net's class is its pin count rounded up to a power of two (2, 4,
+    8, ...); each :class:`PinClass` holds a ``(depth, count)`` table of
+    its nets' pin rows in ``names`` order.  A net shorter than its
+    class depth is padded with its own first pin, which moves neither
+    extreme, so one max/min reduction over the table's rows yields
+    every net's span at once (:func:`batch_net_hpwl`).  Power-of-two
+    depths keep padding below 2x however the degrees are distributed,
+    where one table as deep as the largest net would let a single
+    high-fanout net inflate every row.  ``pos`` scatters the values
+    back into net order, so totals still sum in the exact
+    :func:`hpwl_of` accumulation order.  Shared by :class:`DeltaHPWL`'s
+    batch recompute and the array tier (:mod:`repro.perf.vector`);
+    requires numpy.
     """
     if _np is None:  # pragma: no cover - numpy is a declared dependency
         raise RuntimeError("numpy is required for pin-index tables")
     index = {name: i for i, name in enumerate(names)}
-    two_a: list[int] = []
-    two_b: list[int] = []
-    two_w: list[float] = []
-    two_pos: list[int] = []
-    flat: list[int] = []
-    offsets: list[int] = []
-    multi_w: list[float] = []
-    multi_pos: list[int] = []
-    for i, (weight, pins) in enumerate(resolved):
-        if len(pins) == 2:
-            two_a.append(index[pins[0]])
-            two_b.append(index[pins[1]])
-            two_w.append(weight)
-            two_pos.append(i)
-        else:
-            offsets.append(len(flat))
-            flat.extend(index[p] for p in pins)
-            multi_w.append(weight)
-            multi_pos.append(i)
-    as_i = lambda xs: _np.asarray(xs, dtype=_np.intp)  # noqa: E731
-    as_f = lambda xs: _np.asarray(xs, dtype=_np.float64)  # noqa: E731
-    return (
-        as_i(two_a), as_i(two_b), as_f(two_w), as_i(two_pos),
-        as_i(flat), as_i(offsets), as_f(multi_w), as_i(multi_pos),
-    )
+    classes: dict[int, list[int]] = {}
+    for i, (_weight, pins) in enumerate(resolved):
+        depth = 2
+        while depth < len(pins):
+            depth *= 2
+        classes.setdefault(depth, []).append(i)
+    tables = []
+    for depth in sorted(classes):
+        members = classes[depth]
+        rows = []
+        for i in members:
+            row = [index[p] for p in resolved[i][1]]
+            rows.append(row + row[:1] * (depth - len(row)))
+        tables.append(
+            PinClass(
+                pos=_np.asarray(members, dtype=_np.intp),
+                weights=_np.asarray(
+                    [resolved[i][0] for i in members], dtype=_np.float64
+                ),
+                pins=_np.asarray(rows, dtype=_np.intp).T.copy(),
+            )
+        )
+    return tuple(tables)
+
+
+def batch_net_hpwl(tables: Sequence[PinClass], cx, cy, out):
+    """Per-net weighted HPWL from module-center arrays, into ``out``.
+
+    ``cx``/``cy`` hold centers in row order, shaped ``(n,)`` or
+    ``(K, n)``; ``out`` is ``(n_nets,)`` or ``(K, n_nets)`` and comes
+    back filled in net order.  Per class this is a handful of
+    full-width ops: ``w * ((max - min)_x + (max - min)_y)`` over the
+    pin rows, the formula of :func:`net_hpwl` term for term (for a
+    two-pin net ``max - min`` is ``|a - b|`` bit for bit), so every
+    value is IEEE-identical to the scalar path.
+    """
+    for pos, weights, pins in tables:
+        px = cx.take(pins, axis=-1)
+        py = cy.take(pins, axis=-1)
+        span = px.max(axis=-2)
+        span -= px.min(axis=-2)
+        span_y = py.max(axis=-2)
+        span_y -= py.min(axis=-2)
+        span += span_y
+        span *= weights
+        out[..., pos] = span
+    return out
 
 
 def resolve_nets(nets: Iterable[Net], names: Iterable[str]) -> list[ResolvedNet]:
@@ -228,9 +273,9 @@ class DeltaHPWL:
 
     When a proposal touches more than ``batch_fraction`` of the nets on
     a design with at least ``batch_min_nets`` of them, the whole cache
-    is rebuilt through the numpy pin-index batch path instead (one
-    vectorized pass; per-net values are IEEE-identical to the scalar
-    path, and the total is still summed in net order).
+    is rebuilt through the numpy degree-class batch path instead
+    (:func:`batch_net_hpwl`; per-net values are IEEE-identical to the
+    scalar path, and the total is still summed in net order).
     """
 
     def __init__(
@@ -259,12 +304,10 @@ class DeltaHPWL:
         self._swapped_out: list[float] | None = None
         self._pending_base: Coords | None = None
         # numpy batch state, built lazily on first batch recompute: the
-        # pin-index tables, the cached name -> row map they were built
-        # under, and a preallocated (n, 4) gather buffer reused across
-        # recomputes (rebuilding the array from a dict comprehension
-        # each time dominated the batch path's cost)
+        # degree-class pin tables and a preallocated (n, 4) gather
+        # buffer reused across recomputes (rebuilding the array from a
+        # dict comprehension each time dominated the batch path's cost)
         self._np_tables = None
-        self._row_index: dict[str, int] | None = None
         self._np_buf = None
 
     # -- full recompute -----------------------------------------------------
@@ -279,7 +322,7 @@ class DeltaHPWL:
         else:
             self._vals = [net_hpwl(w, pins, coords) for w, pins in self._resolved]
         self._base = coords
-        return sum(self._vals)
+        return ordered_sum(self._vals)
 
     # -- propose / commit / rollback ---------------------------------------
 
@@ -346,7 +389,7 @@ class DeltaHPWL:
                     vals[i] = new
             self._log = log
         self._pending_base = coords
-        return sum(self._vals)
+        return ordered_sum(self._vals)
 
     def commit(self) -> None:
         """Keep the pending proposal (no-op when none is pending)."""
@@ -370,7 +413,7 @@ class DeltaHPWL:
 
     def total(self) -> float:
         """The cached total (same accumulation order as :func:`hpwl_of`)."""
-        return sum(self._vals)
+        return ordered_sum(self._vals)
 
     # -- numpy batch path ---------------------------------------------------
 
@@ -379,14 +422,9 @@ class DeltaHPWL:
         # needs numpy and a complete coordinate table
         return _np is not None and len(coords) >= len(self._names)
 
-    def _build_np_tables(self):
-        self._row_index = {name: i for i, name in enumerate(self._names)}
-        self._np_tables = pin_index_tables(self._resolved, self._names)
-        return self._np_tables
-
     def _batch_vals(self, coords: Coords) -> list[float]:
-        tables = self._np_tables or self._build_np_tables()
-        two_a, two_b, two_w, two_pos, flat, offsets, multi_w, multi_pos = tables
+        if self._np_tables is None:
+            self._np_tables = pin_index_tables(self._resolved, self._names)
         arr = self._np_buf
         if arr is None:
             arr = self._np_buf = _np.empty((len(self._names), 4), dtype=_np.float64)
@@ -400,15 +438,5 @@ class DeltaHPWL:
         arr.reshape(-1)[:] = entries
         cx = (arr[:, 0] + arr[:, 2]) / 2.0
         cy = (arr[:, 1] + arr[:, 3]) / 2.0
-        vals = _np.zeros(len(self._resolved), dtype=_np.float64)
-        if len(two_pos):
-            vals[two_pos] = two_w * (
-                _np.abs(cx[two_a] - cx[two_b]) + _np.abs(cy[two_a] - cy[two_b])
-            )
-        if len(multi_pos):
-            px = cx[flat]
-            py = cy[flat]
-            span_x = _np.maximum.reduceat(px, offsets) - _np.minimum.reduceat(px, offsets)
-            span_y = _np.maximum.reduceat(py, offsets) - _np.minimum.reduceat(py, offsets)
-            vals[multi_pos] = multi_w * (span_x + span_y)
-        return vals.tolist()
+        vals = _np.empty(len(self._resolved), dtype=_np.float64)
+        return batch_net_hpwl(self._np_tables, cx, cy, vals).tolist()

@@ -11,6 +11,7 @@ from .orientation import (
 from .outline import WellReport, union_area, union_perimeter, well_report
 from .placement import PlacedModule, Placement
 from .rect import Point, Rect, any_overlap, total_area
+from .summation import ordered_sum
 
 __all__ = [
     "ALL_ORIENTATIONS",
@@ -27,6 +28,7 @@ __all__ = [
     "WellReport",
     "any_overlap",
     "clique_nets_from_pairs",
+    "ordered_sum",
     "oriented_size",
     "total_area",
     "total_hpwl",

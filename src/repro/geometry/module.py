@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .orientation import Orientation, oriented_size
+from .summation import ordered_sum
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,6 +164,6 @@ class ModuleSet:
         return tuple(m.name for m in self.modules)
 
     def total_module_area(self) -> float:
-        """Sum of default-variant areas — the denominator of Table I's
-        *area usage* metric."""
-        return sum(m.area for m in self.modules)
+        """Sum of default-variant areas, added in module order on every
+        interpreter — the denominator of Table I's *area usage* metric."""
+        return ordered_sum(m.area for m in self.modules)

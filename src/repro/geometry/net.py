@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .placement import Placement
+from .summation import ordered_sum
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,8 +52,8 @@ class Net:
 
 
 def total_hpwl(nets: Iterable[Net], placement: Placement) -> float:
-    """Weighted sum of HPWL over all nets."""
-    return sum(net.weight * net.hpwl(placement) for net in nets)
+    """Weighted sum of HPWL over all nets, added in net order."""
+    return ordered_sum(net.weight * net.hpwl(placement) for net in nets)
 
 
 def clique_nets_from_pairs(pairs: Iterable[tuple[str, str]], *, prefix: str = "n") -> list[Net]:

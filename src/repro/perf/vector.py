@@ -14,26 +14,30 @@ Three pieces
 :class:`BatchCostEvaluator`
     Vectorized per-term evaluation behind the existing
     :class:`~repro.cost.CostModel` protocol.  Per-net HPWL is computed
-    for *K candidates at once* over ``(K, n)`` center arrays through
-    the pin-index tables of :func:`repro.cost.pin_index_tables`
-    (two-pin endpoint arrays + CSR ``reduceat`` for multi-pin nets);
+    for *K candidates at once* over ``(K, n)`` center arrays by
+    :func:`repro.cost.hpwl.batch_net_hpwl`: nets are grouped into
+    power-of-two degree classes (:func:`repro.cost.hpwl.pin_index_tables`),
+    and each class is a handful of full-width ``take`` / ``max`` /
+    ``min`` ops over its padded pin table, not one segment per net;
     per-candidate totals then run through the model's own
     ``evaluate(coords, hpwl=..., bounding=...)`` with the vectorized
     inputs precomputed — so the term arithmetic, gating and
     accumulation order are *literally the model's own*, and totals are
-    byte-identical to the scalar path (``np.cumsum`` row sums and
-    ``np.abs`` spans reproduce the sequential float operations exactly;
-    locked in ``tests/perf/test_vector_equivalence.py``).
+    byte-identical to the scalar path (``np.cumsum`` row sums in net
+    order and max/min spans reproduce the sequential float operations
+    exactly; locked in ``tests/perf/test_vector_equivalence.py``).
 
 :class:`VectorBStarEngine`
     A batched B*-tree engine: ``propose_batch(rng, k)`` draws K
     candidate moves from the *same committed state*, packs each one's
-    dirty suffix through a lean no-undo loop into per-candidate
-    row/quad arrays, undoes the tree mutation, and scores all K in one
-    vectorized pass.  ``accept(j)`` replays candidate ``j``'s recorded
-    choices deterministically (via the ``*_named`` helpers of
+    dirty suffix through a lean no-undo loop — keeping the packed
+    ``(x0, y0, x1, y1)`` tuples plus the center arrays built from them
+    — undoes the tree mutation, and scores all K in one vectorized
+    pass.  ``accept(j)`` replays candidate ``j``'s recorded choices
+    deterministically (via the ``*_named`` helpers of
     :class:`~repro.bstar.perturb.InPlaceBStarMoves`) and splices its
-    arrays into the committed state; ``reject_all`` is O(1).  Moves are
+    tuples and center arrays into the committed state, with no
+    conversion back from numpy; ``reject_all`` is O(1).  Moves are
     *windowed* (:class:`~repro.bstar.perturb.WindowedBStarMoves`): each
     candidate draws a log-uniform suffix length, so the expected repack
     cost is ``O(n / ln n)`` instead of ``O(n)`` while long-range moves
@@ -69,7 +73,7 @@ except ImportError:  # pragma: no cover
     _np = None
 
 from ..circuit import ProximityGroup
-from ..cost.hpwl import pin_index_tables
+from ..cost.hpwl import batch_net_hpwl, pin_index_tables
 from ..cost.terms import (
     AreaTerm,
     AspectTerm,
@@ -131,23 +135,7 @@ class BatchCostEvaluator:
         self._wl_active = term is not None and term.active
         resolved = term.resolved if term is not None else []
         self._n_nets = len(resolved)
-        self._tables = (
-            pin_index_tables(resolved, self._names) if self._n_nets else None
-        )
-        if self._tables is not None:
-            two_pos = self._tables[3]
-            n_two = int(two_pos.size)
-            # scratch for the allocation-free K=1 two-pin path
-            self._d1 = _np.empty(n_two, dtype=_np.float64)
-            self._d2 = _np.empty(n_two, dtype=_np.float64)
-            self._d3 = _np.empty(n_two, dtype=_np.float64)
-            self._vals1 = _np.empty(self._n_nets, dtype=_np.float64)
-            self._cum1 = _np.empty(self._n_nets, dtype=_np.float64)
-            # when every net is two-pin and already in net order, the
-            # weighted two-pin vector IS the per-net value vector
-            self._two_only = n_two == self._n_nets and bool(
-                (two_pos == _np.arange(self._n_nets)).all()
-            )
+        self._tables = pin_index_tables(resolved, self._names)
         self._needs_coords = any(
             isinstance(t, ProximityTerm) and t.groups and t.active
             for t in model.terms
@@ -174,64 +162,11 @@ class BatchCostEvaluator:
 
         Per-net values are IEEE-identical to the scalar per-net path and
         the row sum (``cumsum``) replicates the left-to-right float
-        accumulation of ``sum(vals)`` exactly.
+        accumulation of :func:`~repro.geometry.ordered_sum` exactly.
         """
-        two_a, two_b, two_w, two_pos, flat, offsets, multi_w, multi_pos = (
-            self._tables
-        )
-        if cx.shape[0] == 1:
-            # 1D fast path (K=1 tiles dominate high-acceptance phases):
-            # preallocated scratch, ufunc `out=` everywhere — the exact
-            # same elementwise float ops as the 2D form, no allocations
-            c_x, c_y = cx[0], cy[0]
-            if two_pos.size:
-                d1, d2, d3 = self._d1, self._d2, self._d3
-                c_x.take(two_a, out=d1)
-                c_x.take(two_b, out=d2)
-                _np.subtract(d1, d2, out=d1)
-                _np.abs(d1, out=d1)
-                c_y.take(two_a, out=d2)
-                c_y.take(two_b, out=d3)
-                _np.subtract(d2, d3, out=d2)
-                _np.abs(d2, out=d2)
-                _np.add(d1, d2, out=d1)
-                _np.multiply(two_w, d1, out=d1)
-                if self._two_only:
-                    d1.cumsum(out=self._cum1)
-                    return self._cum1[-1:]
-                vals = self._vals1
-                vals[two_pos] = d1
-            else:
-                vals = self._vals1
-            if multi_pos.size:
-                px = c_x[flat]
-                py = c_y[flat]
-                span_x = _np.maximum.reduceat(px, offsets) - _np.minimum.reduceat(
-                    px, offsets
-                )
-                span_y = _np.maximum.reduceat(py, offsets) - _np.minimum.reduceat(
-                    py, offsets
-                )
-                vals[multi_pos] = multi_w * (span_x + span_y)
-            vals.cumsum(out=self._cum1)
-            return self._cum1[-1:]
         vals = _np.empty((cx.shape[0], self._n_nets), dtype=_np.float64)
-        if two_pos.size:
-            vals[:, two_pos] = two_w * (
-                _np.abs(cx[:, two_a] - cx[:, two_b])
-                + _np.abs(cy[:, two_a] - cy[:, two_b])
-            )
-        if multi_pos.size:
-            px = cx[:, flat]
-            py = cy[:, flat]
-            span_x = _np.maximum.reduceat(px, offsets, axis=1) - _np.minimum.reduceat(
-                px, offsets, axis=1
-            )
-            span_y = _np.maximum.reduceat(py, offsets, axis=1) - _np.minimum.reduceat(
-                py, offsets, axis=1
-            )
-            vals[:, multi_pos] = multi_w * (span_x + span_y)
-        return _np.cumsum(vals, axis=1)[:, -1]
+        batch_net_hpwl(self._tables, cx, cy, vals)
+        return vals.cumsum(axis=1)[:, -1]
 
     def totals(
         self,
@@ -254,11 +189,10 @@ class BatchCostEvaluator:
             )
         k = cx.shape[0]
         if self._n_nets and self._wl_active:
-            hp = self.batch_hpwl(cx, cy)
-            hpwls = [float(hp[j]) for j in range(k)]
+            hpwls = self.batch_hpwl(cx, cy).tolist()
         elif self._wl_active:
             # active term over zero resolved nets: the delta path feeds
-            # the scalar evaluator sum([]) == 0.0 — match it exactly
+            # the scalar evaluator an empty sum (0) — match it exactly
             hpwls = [0.0] * k
         else:
             hpwls = [None] * k
@@ -278,7 +212,7 @@ class _Candidate:
     """One proposed move: its recorded choices, packed suffix and cost."""
 
     __slots__ = (
-        "kind", "replay", "k", "names", "qa", "rows_np", "cx", "cy",
+        "kind", "replay", "k", "names", "quads", "rows_np", "cx", "cy",
         "snaps", "bounding", "cost",
     )
 
@@ -287,20 +221,15 @@ class _Candidate:
         self.replay = replay
         self.k = 0
         self.names: list[str] = []
-        #: packed suffix quads as an ``(m, 4)`` float64 array
-        self.qa = None
+        #: the packed suffix's ``(x0, y0, x1, y1)`` tuples, row for row
+        #: with ``names`` (installed as-is on accept: no array round trip)
+        self.quads: list[tuple[float, float, float, float]] = []
         self.rows_np = None
         self.cx = None
         self.cy = None
         self.snaps: list = []
         self.bounding = (0.0, 0.0, 0.0, 0.0)
         self.cost = _INF
-
-    def quad_tuples(self) -> list[tuple[float, float, float, float]]:
-        """The packed suffix as coordinate tuples (accept/oracle path)."""
-        if self.qa is None:
-            return []
-        return [tuple(row) for row in self.qa.tolist()]
 
 
 class VectorBStarEngine:
@@ -578,7 +507,7 @@ class VectorBStarEngine:
             out = []
             for cand in live:
                 coords = dict(self._coords)
-                coords.update(zip(cand.names, cand.quad_tuples()))
+                coords.update(zip(cand.names, cand.quads))
                 out.append(evaluate(coords, bounding=cand.bounding))
             return out
         k = len(live)
@@ -600,13 +529,10 @@ class VectorBStarEngine:
     def _install(self, cand: _Candidate) -> None:
         """Splice an accepted candidate's suffix into the committed state."""
         k = cand.k
-        order = self._order
-        order[k:] = cand.names
-        pos = self._pos
-        for idx, name in enumerate(cand.names, k):
-            pos[name] = idx
-        coords = self._coords
-        coords.update(zip(cand.names, cand.quad_tuples()))
+        names = cand.names
+        self._order[k:] = names
+        self._pos.update(zip(names, range(k, k + len(names))))
+        self._coords.update(zip(names, cand.quads))
         if cand.rows_np is not None and cand.rows_np.size:
             self._base_cx[cand.rows_np] = cand.cx
             self._base_cy[cand.rows_np] = cand.cy
@@ -617,7 +543,8 @@ class VectorBStarEngine:
 
     def _pack_suffix(self, k: int, cand: _Candidate) -> None:
         """Pack pre-order positions ``>= k`` of the (perturbed) tree into
-        ``cand``'s arrays — committed state untouched.
+        ``cand``'s names, quads and center arrays — committed state
+        untouched.
 
         Same restore-checkpoint / replay-prefix-tail / inlined-skyline
         structure as the incremental engine's ``_repack_suffix``, but
@@ -637,10 +564,8 @@ class VectorBStarEngine:
         # replay the cached tail of the prefix (unchanged rectangles)
         for idx in range(c * stride, k):
             x, _y0, x1, y1 = coords[order[idx]]
-            i = 0
+            i = bisect_right(starts, x) - 1
             n_segs = len(starts)
-            while i + 1 < n_segs and starts[i + 1] <= x:
-                i += 1
             j = i + 1
             while j < n_segs and starts[j] < x1:
                 j += 1
@@ -657,6 +582,7 @@ class VectorBStarEngine:
                 heights[i:j] = (y1,)
         names_out = cand.names
         push_name = names_out.append
+        push_quad = cand.quads.append
         flat: list[float] = []  # x0 y0 x1 y1 per node, row-major
         push_flat = flat.extend
         snaps = cand.snaps
@@ -700,8 +626,10 @@ class VectorBStarEngine:
             else:
                 starts[i:j] = (x,)
                 heights[i:j] = (top,)
+            quad = (x, y, x1, top)
             push_name(name)
-            push_flat((x, y, x1, top))
+            push_quad(quad)
+            push_flat(quad)
             idx += 1
             right = tree_right[name]
             if right is not None:
@@ -719,7 +647,6 @@ class VectorBStarEngine:
                 count=len(names_out),
             )
             qa = _np.asarray(flat, dtype=_np.float64).reshape(-1, 4)
-            cand.qa = qa
             cand.cx = (qa[:, 0] + qa[:, 2]) / 2.0
             cand.cy = (qa[:, 1] + qa[:, 3]) / 2.0
 

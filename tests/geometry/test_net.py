@@ -9,6 +9,7 @@ from repro.geometry import (
     Placement,
     Rect,
     clique_nets_from_pairs,
+    ordered_sum,
     total_hpwl,
 )
 
@@ -56,6 +57,11 @@ class TestTotalHpwl:
 
     def test_empty(self, grid_placement):
         assert total_hpwl([], grid_placement) == 0.0
+
+    def test_ordered_sum_is_left_to_right(self):
+        # a compensated sum (builtin sum() from Python 3.12) gives 1.0
+        assert ordered_sum([0.1] * 10) == 0.9999999999999999
+        assert ordered_sum([]) == 0
 
     def test_clique_helper(self):
         nets = clique_nets_from_pairs([("a", "b"), ("c", "d")])

@@ -249,8 +249,8 @@ class TestDeltaHPWL:
             batch.commit()
 
     def test_batch_tables_cached_across_proposes(self):
-        """The numpy batch path builds its name->row map and pin-index
-        tables once and reuses a preallocated value buffer; rebuilding
+        """The numpy batch path builds its degree-class pin tables once
+        and reuses a preallocated gather buffer; rebuilding
         them per propose (the pre-cache behavior) must be measurably
         slower, and caching must not change a single float."""
         import time
@@ -282,7 +282,6 @@ class TestDeltaHPWL:
             for cand in cands:
                 if drop_tables:
                     delta._np_tables = None
-                    delta._row_index = None
                     delta._np_buf = None
                 totals.append(delta.propose(cand))
                 delta.rollback()

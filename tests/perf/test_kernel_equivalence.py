@@ -16,6 +16,7 @@ import pytest
 from repro.bstar import (
     BStarPlacer,
     BStarPlacerConfig,
+    BStarState,
     HBStarTreePlacement,
     HierarchicalPlacer,
 )
@@ -115,12 +116,29 @@ class TestFlatKernel:
         assert kernel.cost(tree, orientations, variants) == reference(placement)
 
     def test_placement_materialization_round_trips(self):
-        mods = _mixed_modules()
-        rng = random.Random(3)
-        kernel = BStarKernel(mods)
-        tree, orientations, variants = _random_state(mods, rng)
-        rich = kernel.placement(tree, orientations, variants)
-        assert rich.positions() == pack(tree, mods, orientations, variants).positions()
+        """The kernel's placement -- and ``BStarPlacer.finalize``, which
+        materializes through it -- equals the object-tier ``pack``:
+        rects, orientations and variants, before and after
+        normalization."""
+
+        def records(placement):
+            return {
+                p.name: (p.rect, p.orientation, p.variant) for p in placement.placed
+            }
+
+        for seed in range(20):
+            mods = _mixed_modules(seed=seed)
+            rng = random.Random(seed)
+            kernel = BStarKernel(mods)
+            placer = BStarPlacer(mods)
+            tree, orientations, variants = _random_state(mods, rng)
+            reference = pack(tree, mods, orientations, variants)
+            rich = kernel.placement(tree, orientations, variants)
+            assert records(rich) == records(reference), f"seed {seed}"
+            state = BStarState(tree, orientations, variants)
+            assert records(placer.finalize(state)) == records(
+                reference.normalized()
+            ), f"seed {seed}"
 
     def test_kernel_instance_is_reusable(self):
         """One kernel (and its skyline) serves many packs, like one

@@ -3,13 +3,15 @@ plus the satellite behaviors (bounding-box cache, hoisted move tables)."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 from repro.circuit import SymmetryGroup
+from repro.cost import net_hpwl
 from repro.geometry import Module, ModuleSet, Net, Placement, Rect, total_hpwl
-from repro.perf import hpwl_of, placement_to_coords, resolve_nets
+from repro.perf import DeltaHPWL, hpwl_of, placement_to_coords, resolve_nets
 from repro.seqpair import SequencePairPlacer
 from repro.seqpair.moves import SymmetricMoveSet
 from repro.seqpair.placer import PlacerConfig
@@ -112,6 +114,12 @@ class TestSlicingCoords:
 
 class TestResolvedHpwl:
     def test_matches_total_hpwl(self):
+        """hpwl_of, total_hpwl and DeltaHPWL.reset agree exactly, also on
+        a net set whose left-to-right total differs from a compensated
+        one (builtin sum() from Python 3.12)."""
+        from repro.bstar.packing import pack
+        from repro.bstar.tree import BStarTree
+
         rng = random.Random(7)
         mods = ModuleSet.of(
             [Module.hard(f"m{i}", rng.uniform(1, 5), rng.uniform(1, 5)) for i in range(10)]
@@ -122,14 +130,26 @@ class TestResolvedHpwl:
             + [Net(f"multi{i}", tuple(rng.sample(names, 4))) for i in range(3)]
             + [Net("ghost", ("m0", "nowhere"))]  # pin outside the module set
         )
-        from repro.bstar.packing import pack
-        from repro.bstar.tree import BStarTree
-
-        placement = pack(BStarTree.random(names, rng), mods)
-        resolved = resolve_nets(nets, names)
-        assert hpwl_of(resolved, placement_to_coords(placement)) == total_hpwl(
-            nets, placement
+        # unit squares one apart in a row: ten 0.1-weight unit nets, each
+        # worth 0.1 -- 0.9999999999999999 in order, 1.0 compensated
+        row = ModuleSet.of([Module.hard(f"r{i}", 1.0, 1.0) for i in range(11)])
+        chain = tuple(
+            Net(f"c{i}", (f"r{i}", f"r{i + 1}"), weight=0.1) for i in range(10)
         )
+        inputs = [
+            (nets, mods, pack(BStarTree.random(names, rng), mods)),
+            (chain, row, pack(BStarTree.chain(row.names()), row)),
+        ]
+        for nets, mods, placement in inputs:
+            names = mods.names()
+            resolved = resolve_nets(nets, names)
+            coords = placement_to_coords(placement)
+            expected = hpwl_of(resolved, coords)
+            assert total_hpwl(nets, placement) == expected
+            assert DeltaHPWL(resolved, names).reset(coords) == expected
+        # the chain (last input) discriminates: its exact total is 1.0
+        assert expected == 0.9999999999999999
+        assert math.fsum(net_hpwl(w, pins, coords) for w, pins in resolved) == 1.0
 
 
 class TestSatellites:

@@ -36,12 +36,16 @@ from repro.cost import (
     AreaTerm,
     AspectTerm,
     CostModel,
+    DeltaHPWL,
     HPWLTerm,
     OutlineTerm,
     area_scale_of,
+    hpwl_of,
     model_for_config,
     reference_model,
+    resolve_nets,
 )
+from repro.cost.hpwl import pin_index_tables
 from repro.geometry import Module, ModuleSet, Net
 from repro.perf import (
     BatchCostEvaluator,
@@ -176,6 +180,69 @@ class TestBatchCostEvaluator:
         assert BatchCostEvaluator.unsupported_reason(model) is not None
         with pytest.raises(ValueError, match="violations"):
             BatchCostEvaluator(model, names)
+
+
+def _high_fanout_nets(names, rng):
+    """One 40-pin net (a 64-deep degree class) beside 200 nets of 3-8
+    pins: enough nets for DeltaHPWL's batch path."""
+    nets = [Net("fanout", tuple(rng.sample(names, 40)), weight=1.25)]
+    nets += [
+        Net(f"t{i}", tuple(rng.sample(names, rng.randint(3, 8))), weight=rng.choice((1.0, 0.7)))
+        for i in range(200)
+    ]
+    return tuple(nets)
+
+
+def _two_pin_nets(names, rng):
+    """Every net two-pin: a single degree class covering every net."""
+    return tuple(
+        Net(f"n{i}", tuple(rng.sample(names, 2)), weight=rng.choice((1.0, 0.7)))
+        for i in range(60)
+    )
+
+
+class TestDegreeClassExtremes:
+    """Net sets at the edges of the degree-class tables."""
+
+    def _problem(self, make_nets):
+        rng = random.Random(17)
+        mods = ModuleSet.of(
+            [Module.hard(f"m{i}", rng.uniform(1, 9), rng.uniform(1, 9)) for i in range(48)]
+        )
+        return mods, make_nets(mods.names(), rng)
+
+    @pytest.mark.parametrize(
+        "make_nets, depths",
+        [(_high_fanout_nets, [4, 8, 64]), (_two_pin_nets, [2])],
+        ids=["high-fanout", "two-pin"],
+    )
+    def test_totals_match_scalar_evaluate(self, make_nets, depths):
+        mods, nets = self._problem(make_nets)
+        names = mods.names()
+        config = BStarPlacerConfig(wirelength_weight=0.7, aspect_weight=0.2)
+        model = model_for_config(mods, nets, (), config)
+        tables = pin_index_tables(model.resolved_nets, names)
+        assert [t.pins.shape[0] for t in tables] == depths
+        packings = _random_packings(mods, nets, config, 5)
+        evaluator = BatchCostEvaluator(model, names)
+        for batch in (packings[:1], packings):  # K = 1 and K > 1
+            cx, cy, boundings = _center_arrays(batch, names)
+            assert evaluator.totals(cx, cy, boundings) == [
+                model.evaluate(coords) for coords in batch
+            ]
+
+    def test_delta_hpwl_batch_path_matches_hpwl_of(self):
+        mods, nets = self._problem(_high_fanout_nets)
+        names = mods.names()
+        resolved = resolve_nets(nets, names)
+        assert len(resolved) >= 192  # the default batch_min_nets
+        first, *rest = _random_packings(mods, nets, BStarPlacerConfig(), 9)
+        delta = DeltaHPWL(resolved, names)
+        assert delta.reset(dict(first)) == hpwl_of(resolved, first)
+        assert delta._np_tables is not None  # reset took the batch path
+        for coords in rest:
+            assert delta.propose(dict(coords)) == hpwl_of(resolved, coords)
+            delta.commit()
 
 
 def _walk_batched(vec, oracle, steps, seed, kernel, model, check_every=7):
