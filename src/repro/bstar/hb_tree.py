@@ -71,6 +71,50 @@ class HBState:
     levels: Mapping[str, LevelState]
 
 
+class LevelTable:
+    """One packed hierarchy level, as the coordinate tier caches it.
+
+    ``coords`` is the level's merged ``name -> (x0, y0, x1, y1)``
+    table, anchored at exactly ``(0.0, 0.0)``, and ``extent`` its
+    ``(w, h)``: its bounding box is ``(0.0, 0.0, w, h)`` bit for bit.
+    ``rects`` holds the packed rectangle of each level item (``None``
+    for a level that is a common-centroid array alone).  ``moved``
+    names the entries that differ from the committed table the level
+    was repacked against (``None`` when packed from scratch).  Tables
+    are never mutated once built, so a derived table may share its
+    base's dict.
+    """
+
+    __slots__ = ("coords", "extent", "rects", "moved")
+
+    def __init__(
+        self,
+        coords: Coords,
+        extent: tuple[float, float],
+        rects: Coords | None,
+        moved: list[str] | None,
+    ) -> None:
+        self.coords = coords
+        self.extent = extent
+        self.rects = rects
+        self.moved = moved
+
+
+def _derived(
+    base: LevelTable,
+    changes: Coords,
+    extent: tuple[float, float],
+    rects: Coords | None,
+) -> LevelTable:
+    """``base`` with ``changes`` written over a copy of its table."""
+    if changes:
+        coords = base.coords.copy()
+        coords.update(changes)
+    else:
+        coords = base.coords
+    return LevelTable(coords, extent, rects, list(changes))
+
+
 class HBStarTreePlacement:
     """Recursive packer and move generator for a design hierarchy."""
 
@@ -80,6 +124,7 @@ class HBStarTreePlacement:
         self._modules = modules
         self._nodes: dict[str, HierarchyNode] = {n.name: n for n in hierarchy.walk()}
         self._asf_moves: dict[str, ASFMoveSet] = {}
+        self._footprints = {m.name: m.footprint() for m in modules}
         # Levels pack strictly bottom-up, so one reusable skyline serves
         # every level of every coordinate-tier pack.
         self._skyline = Skyline()
@@ -178,88 +223,151 @@ class HBStarTreePlacement:
     # -- packing, coordinate tier -------------------------------------------------
 
     def pack_coords(self, state: HBState) -> Coords:
-        """Flat-coordinate twin of :meth:`pack` for the annealing loop.
+        """Flat-coordinate twin of :meth:`pack`, and the reference the
+        incremental engine is checked against.
 
-        Same recursion, same arithmetic, but the per-level merge moves
-        4-tuples between dicts instead of building intermediate
+        Same bottom-up packing, same arithmetic, but the per-level merge
+        moves 4-tuples between dicts instead of building intermediate
         ``Placement`` objects — only the small symmetry-island and
         common-centroid sub-placements still go through the object tier.
+        Every level is merged from scratch and the root is normalized.
         Coordinates are bit-identical to ``pack(state)``.
         """
-        return normalize_coords(self._pack_node_coords(self._hierarchy, state))
+        root = self.pack_levels(state)[self._hierarchy.name]
+        return normalize_coords(root.coords)
 
-    def _pack_node_coords(self, node: HierarchyNode, state: HBState) -> Coords:
-        sub_coords: dict[str, Coords] = {}
-        for child in node.children:
-            sub_coords[child.name] = normalize_coords(
-                self._pack_node_coords(child, state)
+    def pack_levels(self, state: HBState) -> dict[str, LevelTable]:
+        """Every level's table packed from scratch, children before parents."""
+        tables: dict[str, LevelTable] = {}
+        for node in reversed(self._nodes.values()):
+            tables[node.name] = self.pack_level_coords(
+                node, state, {child.name: tables[child.name] for child in node.children}
             )
-        return self.pack_level_coords(node, state, sub_coords)
+        return tables
 
     def pack_level_coords(
         self,
         node: HierarchyNode,
         state: HBState,
-        sub_coords: dict[str, Coords],
-    ) -> Coords:
-        """Pack one hierarchy level given its children's subtree coords.
+        sub: Mapping[str, LevelTable],
+        base: LevelTable | None = None,
+        dirty: str | None = None,
+    ) -> LevelTable:
+        """Pack one hierarchy level given its children's level tables.
 
-        ``sub_coords`` maps child hierarchy-node names to their already
-        *normalized* subtree coordinate tables (exactly what the
-        recursion produces); constraint blocks (symmetry island /
-        common-centroid array) are added here.  Factored out of
-        :meth:`_pack_node_coords` so the incremental engine can feed
-        cached child tables without re-descending unchanged subtrees.
+        ``sub`` maps child hierarchy-node names to their tables; a
+        child enters the level tree as a block of its table's extent
+        (no scan of the child table).  Constraint blocks (symmetry
+        island / common-centroid array) are rebuilt here and take the
+        one bounding box this level computes.  The level's own extent
+        is read off the packing skyline: every item raised it over its
+        exact ``(x0, x1)`` span to its exact top, so the right edge and
+        the maximum height are ``max(x1)`` / ``max(y1)`` of the merged
+        table, and the root item sits at ``(0.0, 0.0)``.
+
+        Without ``base`` the table is merged from scratch.  With
+        ``base`` — this level's committed table — the merge is
+        copy-on-write: it recomputes only the entries of items whose
+        packed offset changed, the ``moved`` names of the ``dirty``
+        child (the one repacked against its own base in this
+        proposal) and the rebuilt block, through the same ``a + dx``
+        additions as the full merge, and writes those that differ
+        from ``base``; the result's ``moved`` lists exactly those
+        names.
         """
         level = state.levels[node.name]
-
+        block: Coords | None = None
         if isinstance(node.constraint, SymmetryGroup):
-            island = level.asf.pack(self._modules).normalized()
-            sub_coords[_ISLAND] = placement_to_coords(island)
+            block = placement_to_coords(level.asf.pack(self._modules).normalized())
         elif isinstance(node.constraint, CommonCentroidGroup):
-            array = placement_to_coords(
+            block = placement_to_coords(
                 common_centroid_placement(
                     node.constraint, self._modules, variant=level.cc_variant
                 ).normalized()
             )
-            if _ISLAND in level.tree:
-                sub_coords[_ISLAND] = array
-            else:
+        if block is not None:
+            x0, y0, x1, y1 = bounding_of(block.values())
+            block_extent = (x1 - x0, y1 - y0)
+            if _ISLAND not in level.tree:
                 # The level consists of the array alone.
-                return array
+                if base is None:
+                    return LevelTable(block, block_extent, None, None)
+                old = base.coords
+                changes = {n: e for n, e in block.items() if e != old[n]}
+                return _derived(base, changes, block_extent, None)
 
         sizes: dict[str, tuple[float, float]] = {}
+        footprints = self._footprints
         for item in level.tree.nodes():
-            inner = sub_coords.get(item)
-            if inner is not None:
-                x0, y0, x1, y1 = bounding_of(inner.values())
-                sizes[item] = (x1 - x0, y1 - y0)
+            if item == _ISLAND:
+                sizes[item] = block_extent
             else:
-                sizes[item] = self._modules[item].footprint()
-        rects = pack_tree_coords(level.tree, sizes, self._skyline)
+                child = sub.get(item)
+                sizes[item] = child.extent if child is not None else footprints[item]
+        skyline = self._skyline
+        rects = pack_tree_coords(level.tree, sizes, skyline)
+        extent = (skyline.rightmost_edge(), skyline.max_height())
 
-        out: Coords = {}
-        for item, rect in rects.items():
-            inner = sub_coords.get(item)
-            if inner is not None:
+        if base is None:
+            out: Coords = {}
+            for item, rect in rects.items():
+                if item == _ISLAND:
+                    inner = block
+                else:
+                    child = sub.get(item)
+                    if child is None:
+                        out[item] = rect
+                        continue
+                    inner = child.coords
                 dx, dy = rect[0], rect[1]
                 for name, (a, b, c, d) in inner.items():
                     out[name] = (a + dx, b + dy, c + dx, d + dy)
+            return LevelTable(out, extent, rects, None)
+
+        old = base.coords
+        old_rects = base.rects
+        changes: Coords = {}
+        for item, rect in rects.items():
+            was = old_rects[item]
+            if item == _ISLAND:
+                # rebuilt with the level: any entry may differ
+                inner = names = block
             else:
-                out[item] = rect
-        return out
+                child = sub.get(item)
+                if child is None:
+                    if rect != was:
+                        changes[item] = rect
+                    continue
+                inner = child.coords
+                if rect[0] != was[0] or rect[1] != was[1]:
+                    names = inner
+                elif item == dirty:
+                    names = child.moved
+                else:
+                    continue
+            dx, dy = rect[0], rect[1]
+            for name in names:
+                a, b, c, d = inner[name]
+                entry = (a + dx, b + dy, c + dx, d + dy)
+                # a child entry that moved by an ulp can land on the
+                # same float here: only real differences count as moved
+                if entry != old[name]:
+                    changes[name] = entry
+        return _derived(base, changes, extent, rects)
 
     # -- perturbation ------------------------------------------------------------
 
     def propose_level(
         self, state: HBState, rng: random.Random
-    ) -> tuple[str, LevelState | None]:
-        """Draw one level perturbation: ``(level name, new level state)``.
+    ) -> tuple[str, LevelState | None, str]:
+        """Draw one level perturbation: ``(level name, new level state,
+        move kind)``.
 
-        Returns ``(name, None)`` when the selected level has no legal
-        move.  The draw sequence is shared by :meth:`propose` and the
-        incremental engine, so both walk the same trajectory for a
-        given rng.
+        The kind is ``"tree"``, ``"asf"`` or ``"cc"``; it is ``"noop"``,
+        with ``None`` for the level state, when the selected level has
+        no legal move.  The draw sequence is shared by :meth:`propose`
+        and the incremental engine, so both walk the same trajectory
+        for a given rng.
         """
         name = rng.choice(list(self._nodes))
         node = self._nodes[name]
@@ -273,7 +381,7 @@ class HBStarTreePlacement:
         if isinstance(node.constraint, CommonCentroidGroup) and n_variants(node.constraint) > 1:
             choices.append("cc")
         if not choices:
-            return name, None
+            return name, None, "noop"
         kind = rng.choice(choices)
 
         if kind == "tree":
@@ -285,12 +393,12 @@ class HBStarTreePlacement:
                 level,
                 cc_variant=(level.cc_variant + 1) % n_variants(node.constraint),
             )
-        return name, new_level
+        return name, new_level, kind
 
     def propose(self, state: HBState, rng: random.Random) -> HBState:
         """Perturb one randomly selected tree of the forest (section III-B:
         'one of the HB*-trees should be selected first')."""
-        name, new_level = self.propose_level(state, rng)
+        name, new_level, _kind = self.propose_level(state, rng)
         if new_level is None:
             return state
         levels = dict(state.levels)
@@ -319,16 +427,41 @@ class HBIncrementalEngine:
 
     Implements the :class:`repro.anneal.IncrementalEngine` protocol.  A
     perturbation touches exactly one level, so only the path from that
-    level to the hierarchy root needs repacking: every other node's
-    subtree coordinates are served from a cache of normalized tables.
-    The merged root table is then diffed module-by-module against the
-    last committed placement by the unified model's
-    :class:`~repro.cost.CostEvaluator`, whose
-    :class:`~repro.cost.DeltaHPWL` rescans only the nets of modules
-    that actually moved.  Costs — and, for equal seeds, whole annealing
-    trajectories — are bit-identical to the non-cached
-    ``model(hb.pack_coords(state))`` path (see ``tests/perf/``).
+    level to the hierarchy root is repacked, and each step costs what
+    it moved:
+
+    * **level tables** — every level's committed :class:`LevelTable`
+      (its table, its ``(w, h)`` extent and its items' packed rects) is
+      cached; a repacked level sizes its children by their extents and
+      reads its own extent off the packing skyline, so no child table
+      is scanned and the root extent is the bounding box the cost model
+      consumes;
+    * **copy-on-write** — a repacked level copies its committed table
+      and rewrites only the entries that moved (see
+      :meth:`HBStarTreePlacement.pack_level_coords`); when a level moves
+      nothing, its ancestors cannot change either and the walk up
+      stops;
+    * **a moved set** — the root's moved names go to the unified
+      model's :class:`~repro.cost.CostEvaluator`, whose
+      :class:`~repro.cost.DeltaHPWL` rescans only their nets and whose
+      :class:`~repro.cost.DeltaProximity` re-tests only the proximity
+      groups they belong to.
+
+    Costs — and, for equal seeds, whole annealing trajectories — are
+    bit-identical to the non-cached ``model(hb.pack_coords(state))``
+    path (see ``tests/perf/``).
+
+    Telemetry capability, as on the flat engine: every :meth:`propose`
+    refreshes :attr:`last_move` (the level move kind) and
+    :attr:`last_repack_len` (how many modules the proposal moved), and
+    :meth:`cost_breakdown` reports the committed state's terms.
     """
+
+    #: move kind of the most recent proposal ("tree", "asf", "cc",
+    #: "noop")
+    last_move = "noop"
+    #: modules whose coordinates the most recent proposal rewrote
+    last_repack_len = 0
 
     def __init__(
         self,
@@ -344,34 +477,31 @@ class HBIncrementalEngine:
 
         self._hb = hb
         self._eval = model_for_config(modules, nets, proximity, config).evaluator()
-        # hierarchy-node name -> parent name, for dirty-path invalidation
-        self._parents: dict[str, str | None] = {hb._hierarchy.name: None}
+        self._root = hb._hierarchy.name
+        self._nodes = hb._nodes
+        # hierarchy-node name -> parent name, for the dirty path
+        self._parents: dict[str, str | None] = {self._root: None}
         for node in hb._hierarchy.walk():
             for child in node.children:
                 self._parents[child.name] = node.name
         self._state: HBState | None = None
-        self._cache: dict[str, Coords] = {}
+        self._tables: dict[str, LevelTable] = {}
         self._cost = float("inf")
         # pending proposal
         self._pending_state: HBState | None = None
         self._pending_cost = float("inf")
-        self._overlay: dict[str, Coords] = {}
-        self._dirty: frozenset[str] = frozenset()
+        self._pending: dict[str, LevelTable] = {}
         self._proposed = False
 
     # -- setup ---------------------------------------------------------------
 
     def reset(self, state: HBState) -> float:
-        """Adopt ``state``; build the full cache; return its cost."""
+        """Adopt ``state``; pack every level; return its cost."""
+        self._clear_pending()
         self._state = state
-        self._cache = {}
-        self._overlay = {}
-        self._dirty = frozenset(self._parents)
-        coords = self._pack_cached(self._hb._hierarchy, state)
-        self._cache.update(self._overlay)
-        self._overlay = {}
-        self._dirty = frozenset()
-        self._cost = self._eval.reset(coords)
+        self._tables = self._hb.pack_levels(state)
+        root = self._tables[self._root]
+        self._cost = self._eval.reset(root.coords, bounding=(0.0, 0.0) + root.extent)
         return self._cost
 
     def initial_cost(self) -> float:
@@ -382,8 +512,10 @@ class HBIncrementalEngine:
     def propose(self, rng: random.Random) -> float:
         if self._proposed:
             raise RuntimeError("previous proposal not committed or rolled back")
-        name, new_level = self._hb.propose_level(self._state, rng)
+        name, new_level, kind = self._hb.propose_level(self._state, rng)
         self._proposed = True
+        self.last_move = kind
+        self.last_repack_len = 0
         if new_level is None:
             self._pending_state = None
             self._pending_cost = self._cost
@@ -391,22 +523,42 @@ class HBIncrementalEngine:
         levels = dict(self._state.levels)
         levels[name] = new_level
         candidate = HBState(levels=levels)
-        dirty = set()
-        walk: str | None = name
-        while walk is not None:
-            dirty.add(walk)
-            walk = self._parents[walk]
-        self._dirty = frozenset(dirty)
-        self._overlay = {}
-        coords = self._pack_cached(self._hb._hierarchy, candidate)
         self._pending_state = candidate
-        self._pending_cost = self._eval.propose(coords)
+        tables = self._tables
+        pending = self._pending
+        nodes = self._nodes
+        parents = self._parents
+        pack = self._hb.pack_level_coords
+        walk: str | None = name
+        dirty = None
+        table = None
+        while walk is not None:
+            base = tables[walk]
+            sub = {child.name: tables[child.name] for child in nodes[walk].children}
+            if dirty is not None:
+                sub[dirty] = table
+            table = pack(nodes[walk], candidate, sub, base, dirty)
+            if not table.moved:
+                # an unchanged table keeps its extent, so the parent
+                # would pack the same rects and copy nothing: this
+                # level and every ancestor keep their committed
+                # tables, and the cost stays as committed
+                self._pending_cost = self._cost
+                return self._cost
+            pending[walk] = table
+            dirty = walk
+            walk = parents[walk]
+        moved = table.moved
+        self.last_repack_len = len(moved)
+        self._pending_cost = self._eval.propose(
+            table.coords, moved, (0.0, 0.0) + table.extent
+        )
         return self._pending_cost
 
     def commit(self) -> None:
         if self._pending_state is not None:
             self._state = self._pending_state
-            self._cache.update(self._overlay)
+            self._tables.update(self._pending)
             self._eval.commit()
         self._cost = self._pending_cost
         self._clear_pending()
@@ -421,29 +573,24 @@ class HBIncrementalEngine:
         # mutated — the current state *is* the snapshot.
         return self._state
 
+    def cost_breakdown(self) -> dict[str, float]:
+        """Per-term weighted contributions of the *committed* state.
+
+        Reporting tier (telemetry chunk summaries): scores the cached
+        root table and its extent — no repack — with a full term
+        rescan, so call it at chunk boundaries, never per step.
+        """
+        if self._proposed:
+            raise RuntimeError("previous proposal not committed or rolled back")
+        root = self._tables[self._root]
+        return self._eval.model.breakdown(
+            root.coords, bounding=(0.0, 0.0) + root.extent
+        )
+
     # -- internals -----------------------------------------------------------
 
     def _clear_pending(self) -> None:
         self._pending_state = None
         self._pending_cost = self._cost
-        self._overlay = {}
-        self._dirty = frozenset()
+        self._pending.clear()
         self._proposed = False
-
-    def _pack_cached(self, node, state: HBState) -> Coords:
-        """Normalized subtree coords for ``node``, cached off-path.
-
-        Matches ``normalize_coords(hb._pack_node_coords(node, state))``
-        bit for bit: unchanged subtrees return their cached table (the
-        same floats a recompute would produce), dirty ones recompute
-        through the shared :meth:`HBStarTreePlacement.pack_level_coords`.
-        """
-        name = node.name
-        if name not in self._dirty:
-            return self._cache[name]
-        sub_coords: dict[str, Coords] = {}
-        for child in node.children:
-            sub_coords[child.name] = self._pack_cached(child, state)
-        out = normalize_coords(self._hb.pack_level_coords(node, state, sub_coords))
-        self._overlay[name] = out
-        return out

@@ -9,9 +9,9 @@ placement validators used by tests and by the placers' legality checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from ..geometry import Placement, Rect
+from ..geometry import Placement
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,20 +185,33 @@ class ProximityGroup:
         Rectangles within ``margin`` (plus ``tol``) of each other are
         considered adjacent.
         """
-        rects = [placement[m].rect for m in self.members_ if m in placement]
+        rects = []
+        for m in self.members_:
+            if m in placement:
+                r = placement[m].rect
+                rects.append((r.x0, r.y0, r.x1, r.y1))
         if len(rects) <= 1:
             return True
         return rects_connected(rects, self.margin + tol)
 
 
-def rects_connected(rects: list[Rect], gap: float) -> bool:
-    """Union-find connectivity of rectangles under a ``gap`` tolerance.
+def rects_connected(
+    rects: Sequence[tuple[float, float, float, float]], gap: float
+) -> bool:
+    """Union-find connectivity of ``(x0, y0, x1, y1)`` rectangles under
+    a ``gap`` tolerance.
 
-    Public so the coordinate-tier proximity check in :mod:`repro.cost`
-    can share the exact same adjacency logic (no cross-package private
-    imports; ``tools/check_private_imports.py`` enforces this).
+    Each rectangle grows by ``gap / 2`` on every side (the float
+    operations of :meth:`Rect.inflated`) and two grown rectangles are
+    adjacent when they overlap or touch (:meth:`Rect.overlaps` with
+    ``strict=False``).  Flat tuples are what both tiers hold: the
+    boundary tier (:meth:`ProximityGroup.is_satisfied`) unpacks its
+    rects, and the annealing tier (:mod:`repro.cost`) passes coordinate
+    table entries as they are, so no :class:`Rect` is built per step.
     """
-    n = len(rects)
+    half = gap / 2.0
+    grown = [(x0 - half, y0 - half, x1 + half, y1 + half) for x0, y0, x1, y1 in rects]
+    n = len(grown)
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -211,9 +224,10 @@ def rects_connected(rects: list[Rect], gap: float) -> bool:
         parent[find(i)] = find(j)
 
     for i in range(n):
-        gi = rects[i].inflated(gap / 2.0)
+        ax0, ay0, ax1, ay1 = grown[i]
         for j in range(i + 1, n):
-            if gi.overlaps(rects[j].inflated(gap / 2.0), strict=False):
+            bx0, by0, bx1, by1 = grown[j]
+            if ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1:
                 union(i, j)
     root = find(0)
     return all(find(i) == root for i in range(n))

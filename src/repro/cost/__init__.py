@@ -10,7 +10,8 @@ it.  This package makes that objective a first-class, *shared* layer:
     incremental per-net cache every delta path runs on.
 ``terms``
     The pluggable :class:`CostTerm` catalog: area, wirelength, aspect,
-    outline, proximity and constraint-violation penalties.
+    outline, proximity and constraint-violation penalties, plus
+    :class:`DeltaProximity`, the proximity term's incremental flags.
 ``model``
     :class:`CostModel` (ordered term composition, full + breakdown +
     boundary evaluation), :class:`CostEvaluator` (the delta-capable
@@ -45,6 +46,7 @@ from .terms import (
     AreaTerm,
     AspectTerm,
     CostTerm,
+    DeltaProximity,
     HPWLTerm,
     OutlineTerm,
     ProximityTerm,
@@ -61,6 +63,7 @@ __all__ = [
     "DEFAULT_TARGET_ASPECT",
     "DEFAULT_WEIGHTS",
     "DeltaHPWL",
+    "DeltaProximity",
     "HPWLTerm",
     "OUTLINE_WEIGHT",
     "OutlineTerm",

@@ -8,7 +8,9 @@ The same model instance serves three tiers:
 
 * **hot loop** — :meth:`CostModel.evaluate` over a flat coordinate
   table, optionally fed precomputed inputs (a maintained HPWL total, a
-  bounding box read off the packing skyline, an explicit shape area);
+  bounding box read off the packing skyline or a level extent, an
+  explicit shape area, a maintained count of unsatisfied proximity
+  groups);
 * **delta protocol** — :meth:`CostModel.evaluator` returns a
   :class:`CostEvaluator` whose ``reset / propose / commit / rollback``
   calls keep every delta-capable term's cache in lockstep with the
@@ -29,7 +31,7 @@ cost code this module replaced (property-locked in ``tests/cost/``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 from ..perf.coords import bounding_of, placement_to_coords
 from .terms import (
@@ -120,6 +122,10 @@ class CostModel:
         self._accumulators = tuple(t.accumulate for t in self._terms)
         hpwl_term = by_name.get("wirelength")
         self._hpwl_term = hpwl_term if isinstance(hpwl_term, HPWLTerm) else None
+        proximity_term = by_name.get("proximity")
+        self._proximity_term = (
+            proximity_term if isinstance(proximity_term, ProximityTerm) else None
+        )
         # bounding-box demand, resolved once: "always" terms force the
         # computation whenever active; "area" terms only when no
         # explicit area is supplied (the slicing model never computes a
@@ -157,6 +163,11 @@ class CostModel:
         return self._hpwl_term
 
     @property
+    def proximity_term(self) -> ProximityTerm | None:
+        """The proximity term, when the model carries one."""
+        return self._proximity_term
+
+    @property
     def tracks_wirelength(self) -> bool:
         """Whether an active wirelength term is worth maintaining
         incrementally (mirrors the engines' legacy ``track_wl`` gate)."""
@@ -189,20 +200,24 @@ class CostModel:
         bounding: tuple[float, float, float, float] | None = None,
         area: float | None = None,
         placement: Placement | None = None,
+        unsatisfied: int | None = None,
     ) -> float:
         """Total cost of ``coords``; precomputed inputs are trusted.
 
         A supplied ``hpwl`` must equal ``hpwl_of(resolved_nets,
         coords)`` bit for bit (:class:`~repro.cost.DeltaHPWL`
-        guarantees this), and a supplied ``bounding`` must equal
+        guarantees this), a supplied ``bounding`` must equal
         ``bounding_of(coords.values())`` the same way (the B*-tree
-        engine reads it off the packing skyline) — the result is then
-        identical either way, just cheaper.
+        engines read it off a packing skyline), and a supplied
+        ``unsatisfied`` must equal the number of the proximity term's
+        groups ``coords`` leaves unsatisfied
+        (:class:`~repro.cost.DeltaProximity` maintains it) — the
+        result is then identical either way, just cheaper.
         """
         bounding = self._resolve_bounding(coords, bounding, area)
         total = 0.0
         for accumulate in self._accumulators:
-            total = accumulate(total, coords, hpwl, bounding, area, placement)
+            total = accumulate(total, coords, hpwl, bounding, area, placement, unsatisfied)
         return total
 
     def __call__(self, coords: Coords) -> float:
@@ -249,9 +264,11 @@ class CostEvaluator:
     """Delta-capable evaluation session: the model-side half of the
     ``propose -> delta-eval -> commit/rollback`` protocol.
 
-    Owns one incremental helper per delta-capable term (today: the
-    wirelength term's :class:`~repro.cost.DeltaHPWL`) and keeps it in
-    lockstep with the annealing engine's accept/reject decisions.
+    Owns one incremental helper per delta-capable term — the
+    wirelength term's :class:`~repro.cost.DeltaHPWL` and, when the
+    model has proximity groups, the proximity term's
+    :class:`~repro.cost.DeltaProximity` — and keeps them in lockstep
+    with the annealing engine's accept/reject decisions.
     Totals are bit-identical to :meth:`CostModel.evaluate` over the
     same table — the delta path changes cost, never answers
     (property-locked in ``tests/cost/``).
@@ -260,8 +277,10 @@ class CostEvaluator:
 
     * :meth:`reset` when adopting a state (full rebuild);
     * :meth:`propose` once per perturbation — with ``moved`` when the
-      engine tracked which modules changed (dirty-suffix repack), or
-      without it to diff against the last committed table;
+      engine tracked which modules changed (the dirty-suffix repack,
+      the HB*-tree's copy-on-write level tables), or without it to
+      diff wirelength against the last committed table and re-test
+      every proximity group;
     * exactly one of :meth:`commit` / :meth:`rollback` afterwards.
       Both are safe to call when the pending proposal never reached
       :meth:`propose` (e.g. an infeasible pack scored ``inf``): the
@@ -272,6 +291,10 @@ class CostEvaluator:
     def __init__(self, model: CostModel) -> None:
         self._model = model
         self._delta = model.hpwl_term.delta() if model.tracks_wirelength else None
+        proximity = model.proximity_term
+        # None for models without proximity groups: their propose()
+        # takes exactly the wirelength-only path
+        self._proximity = proximity.delta() if proximity is not None else None
         # pre-bound hot-loop methods: one annealing step costs exactly
         # one propose() here, so attribute chains are hoisted
         self._evaluate = model.evaluate
@@ -291,29 +314,44 @@ class CostEvaluator:
         """Adopt ``coords`` as the committed state; return its cost."""
         delta = self._delta
         hpwl = delta.reset(coords) if delta is not None else None
-        return self._evaluate(coords, hpwl, bounding, area)
+        proximity = self._proximity
+        unsatisfied = proximity.reset(coords) if proximity is not None else None
+        return self._evaluate(coords, hpwl, bounding, area, None, unsatisfied)
 
     def propose(
         self,
         coords: Coords,
-        moved: Iterable[str] | None = None,
+        moved: Collection[str] | None = None,
         bounding: tuple[float, float, float, float] | None = None,
         area: float | None = None,
     ) -> float:
-        """Score a candidate table; follow with commit() or rollback()."""
+        """Score a candidate table; follow with commit() or rollback().
+
+        ``moved`` must name every module whose entry differs from the
+        committed table (extra names only cost time); it is read once
+        per delta-capable term, so pass a collection, not an iterator.
+        """
         delta_propose = self._delta_propose
         hpwl = delta_propose(coords, moved) if delta_propose is not None else None
-        return self._evaluate(coords, hpwl, bounding, area)
+        proximity = self._proximity
+        if proximity is None:
+            return self._evaluate(coords, hpwl, bounding, area)
+        unsatisfied = proximity.propose(coords, moved)
+        return self._evaluate(coords, hpwl, bounding, area, None, unsatisfied)
 
     def commit(self) -> None:
         """Keep the pending proposal (no-op when none is pending)."""
         if self._delta is not None:
             self._delta.commit()
+        if self._proximity is not None:
+            self._proximity.commit()
 
     def rollback(self) -> None:
         """Drop the pending proposal, restoring every term cache."""
         if self._delta is not None:
             self._delta.rollback()
+        if self._proximity is not None:
+            self._proximity.rollback()
 
 
 def model_for_config(

@@ -8,12 +8,14 @@ nothing but an ordered tuple of them.  Two evaluation tiers:
 * **full** — :meth:`CostTerm.accumulate` folds the term into a running
   total given a flat coordinate table (plus optional precomputed
   inputs: the bounding box, an explicit area, the incremental HPWL
-  total, the rich placement for boundary-tier terms);
+  total, the rich placement for boundary-tier terms, the maintained
+  count of unsatisfied proximity groups);
 * **delta** — a term that can be maintained incrementally returns a
-  stateful helper from :meth:`CostTerm.delta` (today:
-  :class:`HPWLTerm` -> :class:`~repro.cost.DeltaHPWL`); stateless terms
-  return ``None`` and are simply recomputed, which is exact and — for
-  area/aspect off a maintained bounding box — already O(1).
+  stateful helper from :meth:`CostTerm.delta` (:class:`HPWLTerm` ->
+  :class:`~repro.cost.DeltaHPWL`, :class:`ProximityTerm` ->
+  :class:`DeltaProximity`); stateless terms return ``None`` and are
+  simply recomputed, which is exact and — for area/aspect off a
+  maintained bounding box — already O(1).
 
 Bit-identity contract
 =====================
@@ -32,10 +34,9 @@ property-style against replicas of the legacy formulas.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Collection, Sequence
 
 from ..circuit.constraints import ConstraintSet, ProximityGroup, rects_connected
-from ..geometry import Rect
 from .hpwl import DeltaHPWL, hpwl_of, resolve_nets
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -47,11 +48,87 @@ EMPTY_BOUNDING = (0.0, 0.0, 0.0, 0.0)
 
 
 def proximity_satisfied(group: ProximityGroup, coords: Coords, *, tol: float = 1e-6) -> bool:
-    """Coordinate-table twin of :meth:`ProximityGroup.is_satisfied`."""
-    rects = [Rect(*coords[m]) for m in group.members_ if m in coords]
+    """Coordinate-table twin of :meth:`ProximityGroup.is_satisfied`.
+
+    Hands the table's entries to the same :func:`rects_connected` the
+    boundary tier uses, so both tiers give the same answer.
+    """
+    rects = [coords[m] for m in group.members_ if m in coords]
     if len(rects) <= 1:
         return True
     return rects_connected(rects, group.margin + tol)
+
+
+class DeltaProximity:
+    """Incremental proximity satisfaction with commit/rollback semantics.
+
+    Keeps one satisfied flag per group and a module -> groups
+    adjacency.  A proposal re-tests only the groups with a moved member
+    (every group when ``moved`` is ``None``), undo-logging the flags it
+    flips, and returns the number of unsatisfied groups — the input
+    :class:`ProximityTerm` adds its weight for, once per group.
+    """
+
+    def __init__(self, groups: Sequence[ProximityGroup]) -> None:
+        self._groups = tuple(groups)
+        of: dict[str, list[int]] = {}
+        for i, group in enumerate(self._groups):
+            for member in group.members_:
+                of.setdefault(member, []).append(i)
+        self._of = {member: tuple(ids) for member, ids in of.items()}
+        self._ok = [True] * len(self._groups)
+        self._unsatisfied = 0
+        # indices whose flag the pending proposal flipped
+        self._log: list[int] | None = None
+
+    def reset(self, coords: Coords) -> int:
+        """Test every group against ``coords``; return the unsatisfied count."""
+        self._log = None
+        self._ok = [proximity_satisfied(g, coords) for g in self._groups]
+        self._unsatisfied = self._ok.count(False)
+        return self._unsatisfied
+
+    def propose(self, coords: Coords, moved: Collection[str] | None = None) -> int:
+        """Re-test the groups ``moved`` touches; return the unsatisfied count.
+
+        Must be followed by :meth:`commit` or :meth:`rollback` before
+        the next proposal.
+        """
+        if self._log is not None:
+            raise RuntimeError("previous proposal not committed or rolled back")
+        if moved is None:
+            affected = range(len(self._groups))
+        else:
+            of = self._of.get
+            affected = set()
+            for name in moved:
+                ids = of(name)
+                if ids:
+                    affected.update(ids)
+        ok = self._ok
+        groups = self._groups
+        log: list[int] = []
+        for i in affected:
+            now = proximity_satisfied(groups[i], coords)
+            if now != ok[i]:
+                ok[i] = now
+                log.append(i)
+                self._unsatisfied += -1 if now else 1
+        self._log = log
+        return self._unsatisfied
+
+    def commit(self) -> None:
+        """Keep the pending proposal (no-op when none is pending)."""
+        self._log = None
+
+    def rollback(self) -> None:
+        """Restore the flags the pending proposal flipped."""
+        if self._log:
+            ok = self._ok
+            for i in self._log:
+                ok[i] = now = not ok[i]
+                self._unsatisfied += -1 if now else 1
+        self._log = None
 
 
 class CostTerm:
@@ -76,7 +153,11 @@ class CostTerm:
         slicing placer scores the selected shape's area);
     ``placement``
         rich :class:`~repro.geometry.Placement` for boundary-tier terms
-        (:class:`ViolationTerm`); ``None`` inside annealing hot loops.
+        (:class:`ViolationTerm`); ``None`` inside annealing hot loops;
+    ``unsatisfied``
+        maintained count of unsatisfied proximity groups
+        (:class:`DeltaProximity`), or ``None`` (:class:`ProximityTerm`
+        then tests its groups against ``coords``).
     """
 
     #: how the term consumes the model-level bounding box:
@@ -102,6 +183,7 @@ class CostTerm:
         bounding: tuple[float, float, float, float] | None,
         area: float | None,
         placement: Placement | None,
+        unsatisfied: int | None,
     ) -> float:
         """Fold this term into ``total`` and return the new total."""
         raise NotImplementedError
@@ -113,12 +195,13 @@ class CostTerm:
         bounding: tuple[float, float, float, float] | None = None,
         area: float | None = None,
         placement: Placement | None = None,
+        unsatisfied: int | None = None,
     ) -> float:
         """This term's weighted contribution in isolation (reporting
         tier; totals are always produced by :meth:`accumulate`)."""
-        return self.accumulate(0.0, coords, hpwl, bounding, area, placement)
+        return self.accumulate(0.0, coords, hpwl, bounding, area, placement, unsatisfied)
 
-    def delta(self) -> DeltaHPWL | None:
+    def delta(self) -> DeltaHPWL | DeltaProximity | None:
         """A fresh incremental helper, or ``None`` for stateless terms."""
         return None
 
@@ -147,7 +230,7 @@ class AreaTerm(CostTerm):
         # unconditionally (a zero weight still multiplies through)
         return True
 
-    def accumulate(self, total, coords, hpwl, bounding, area, placement):
+    def accumulate(self, total, coords, hpwl, bounding, area, placement, unsatisfied):
         if area is None:
             bx0, by0, bx1, by1 = bounding
             area = (bx1 - bx0) * (by1 - by0)
@@ -183,7 +266,7 @@ class HPWLTerm(CostTerm):
         # legacy gate: `if nets and cfg.wirelength_weight:`
         return self._has_nets and bool(self.weight)
 
-    def accumulate(self, total, coords, hpwl, bounding, area, placement):
+    def accumulate(self, total, coords, hpwl, bounding, area, placement, unsatisfied):
         if not (self._has_nets and self.weight):
             return total
         if hpwl is None:
@@ -208,7 +291,7 @@ class AspectTerm(CostTerm):
         super().__init__("aspect", weight)
         self.target_aspect = target_aspect
 
-    def accumulate(self, total, coords, hpwl, bounding, area, placement):
+    def accumulate(self, total, coords, hpwl, bounding, area, placement, unsatisfied):
         if not self.weight:
             return total
         bx0, by0, bx1, by1 = bounding
@@ -225,20 +308,33 @@ class ProximityTerm(CostTerm):
     """Flat penalty per unsatisfied proximity group.
 
     Adds ``weight`` once per group whose members do not form a single
-    connected cluster — separate additions in group order, replicating
-    the legacy accumulation bit for bit.
+    connected cluster — separate additions, replicating the legacy
+    accumulation bit for bit.  A supplied ``unsatisfied`` count is
+    trusted (:class:`DeltaProximity` maintains it); otherwise every
+    group is tested against ``coords``.
     """
 
     def __init__(self, weight: float, groups: tuple[ProximityGroup, ...]) -> None:
         super().__init__("proximity", weight)
         self.groups = tuple(groups)
 
-    def accumulate(self, total, coords, hpwl, bounding, area, placement):
+    def accumulate(self, total, coords, hpwl, bounding, area, placement, unsatisfied):
         if self.weight:
-            for group in self.groups:
-                if not proximity_satisfied(group, coords):
-                    total += self.weight
+            if unsatisfied is None:
+                unsatisfied = 0
+                for group in self.groups:
+                    if not proximity_satisfied(group, coords):
+                        unsatisfied += 1
+            for _ in range(unsatisfied):
+                total += self.weight
         return total
+
+    def delta(self) -> DeltaProximity | None:
+        """Per-group satisfaction flags, or ``None`` when the term never
+        charges anything (no groups, or a zero weight)."""
+        if not (self.groups and self.weight):
+            return None
+        return DeltaProximity(self.groups)
 
 
 class OutlineTerm(CostTerm):
@@ -259,7 +355,7 @@ class OutlineTerm(CostTerm):
             raise ValueError(f"outline must be positive, got {outline!r}")
         self.outline = (float(width), float(height))
 
-    def accumulate(self, total, coords, hpwl, bounding, area, placement):
+    def accumulate(self, total, coords, hpwl, bounding, area, placement, unsatisfied):
         if not self.weight:
             return total
         bx0, by0, bx1, by1 = bounding
@@ -287,7 +383,7 @@ class ViolationTerm(CostTerm):
         super().__init__("violations", weight)
         self.constraints = constraints
 
-    def accumulate(self, total, coords, hpwl, bounding, area, placement):
+    def accumulate(self, total, coords, hpwl, bounding, area, placement, unsatisfied):
         if not self.weight:
             return total
         if placement is None:

@@ -264,14 +264,13 @@ class IncrementalBStarEngine:
         """Per-term weighted contributions of the *committed* state.
 
         Reporting tier (telemetry chunk summaries): a full rescan over
-        the current coordinate table, so call it at chunk boundaries,
-        never per step.
+        the current coordinate table, bounding box included — after a
+        rollback the live skyline still holds the rejected candidate's
+        profile — so call it at chunk boundaries, never per step.
         """
         if self._pending:
             raise RuntimeError("previous proposal not committed or rolled back")
-        return self._kernel.model.breakdown(
-            self._coords, bounding=self._sky_bounding()
-        )
+        return self._kernel.model.breakdown(self._coords)
 
     # -- internals -----------------------------------------------------------
 

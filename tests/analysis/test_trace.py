@@ -151,6 +151,28 @@ class TestCanonicalization:
         assert scrub(load_trace(serial)) == scrub(load_trace(pooled))
 
 
+class TestChunkSummaries:
+    @pytest.mark.parametrize("engine", ["bstar", "hbtree"])
+    def test_every_chunk_explains_itself(self, tmp_path, engine):
+        """Each ``anneal.chunk`` of a B*-tree walk carries its term
+        breakdown and a move-family table covering every step."""
+        PortfolioRunner(
+            "fig2", (engine,), starts=1, overrides=FAST, trace=tmp_path
+        ).run()
+        chunks = load_trace(tmp_path).named("anneal.chunk")
+        assert chunks
+        for event in chunks:
+            fields = event["fields"]
+            assert fields["engine"] == engine
+            assert sum(fields["terms"].values()) == pytest.approx(fields["cost"])
+            proposed = sum(count for count, _ in fields["families"].values())
+            assert proposed == fields["step_end"] - fields["step_start"]
+            assert fields["repack_hist"]
+        if engine == "hbtree":
+            kinds = {k for e in chunks for k in e["fields"]["families"]}
+            assert kinds <= {"tree", "asf", "cc", "noop"} and "tree" in kinds
+
+
 class TestReport:
     def test_report_shape_and_schema(self, trace_dir):
         directory, result = trace_dir

@@ -7,10 +7,13 @@ Property tests (hypothesis, over the shared strategies in
   replica of the legacy placer-private cost formula it replaced — over
   random module sets, nets, orientations/variants and states;
 * the delta path (:class:`repro.cost.CostEvaluator` driving
-  :class:`repro.cost.DeltaHPWL`) matches both a full
-  :meth:`CostModel.evaluate` recompute and a raw
+  :class:`repro.cost.DeltaHPWL` and :class:`repro.cost.DeltaProximity`)
+  matches both a full :meth:`CostModel.evaluate` recompute and a raw
   :func:`repro.cost.hpwl_of` rescan across random commit/rollback
   walks;
+* the flat-tuple :func:`repro.circuit.constraints.rects_connected`
+  gives the boundary tier, the coordinate tier and a replica of the
+  legacy ``Rect``-object check the same answer;
 * the reference model ranks placements exactly like the legacy
   ``_CostModel`` + violation-penalty closure did.
 
@@ -28,15 +31,17 @@ from hypothesis import strategies as st
 
 from repro.bstar import BStarPlacerConfig
 from repro.bstar.tree import BStarTree
-from repro.circuit import fig2_design, miller_opamp
+from repro.circuit import ProximityGroup, fig2_design, miller_opamp
+from repro.circuit.constraints import rects_connected
 from repro.cost import (
     CostModel,
     hpwl_of,
     model_for_config,
+    proximity_satisfied,
     reference_model,
     resolve_nets,
 )
-from repro.geometry import Module, ModuleSet, Net, total_hpwl
+from repro.geometry import Module, ModuleSet, Net, PlacedModule, Placement, Rect, total_hpwl
 from repro.perf import BStarKernel, bounding_of, placement_to_coords
 from repro.seqpair.placer import PlacerConfig
 from repro.slicing import SlicingPlacer, SlicingPlacerConfig
@@ -269,6 +274,117 @@ class TestDeltaWalkEquivalence:
             else:
                 hinted.rollback()
                 diffed.rollback()
+
+
+def _legacy_rects_connected(rects, gap):
+    """Replica of the ``Rect``-object connectivity test that the flat
+    tuple form replaced."""
+    n = len(rects)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        gi = rects[i].inflated(gap / 2.0)
+        for j in range(i + 1, n):
+            if gi.overlaps(rects[j].inflated(gap / 2.0), strict=False):
+                parent[find(i)] = find(j)
+    root = find(0)
+    return all(find(i) == root for i in range(n))
+
+
+def _grid_placement(rng, n):
+    """Rectangles on a half-unit grid: edges often touch exactly and
+    gaps often equal a half-unit-multiple margin."""
+    placed = []
+    for i in range(n):
+        w = rng.choice((0.5, 1.0, 1.5, 2.0))
+        h = rng.choice((0.5, 1.0, 1.5, 2.0))
+        x = rng.randrange(13) * 0.5
+        y = rng.randrange(13) * 0.5
+        placed.append(PlacedModule(Module.hard(f"m{i}", w, h), Rect.from_size(x, y, w, h)))
+    return Placement(tuple(placed))
+
+
+class TestProximityTiers:
+    def test_boundary_and_coordinate_tiers_agree(self):
+        rng = random.Random(11)
+        outcomes = set()
+        touching = 0
+        for _ in range(600):
+            n = rng.randrange(2, 7)
+            placement = _grid_placement(rng, n)
+            names = [f"m{i}" for i in range(n)]
+            group = ProximityGroup("p", tuple(rng.sample(names, rng.randrange(2, n + 1))),
+                                   margin=rng.choice((0.0, 0.5, 1.0)))
+            rects = [placement[m].rect for m in group.members_]
+            boundary = group.is_satisfied(placement)
+            assert boundary == proximity_satisfied(group, placement_to_coords(placement))
+            assert boundary == _legacy_rects_connected(rects, group.margin + 1e-6)
+            # with no tolerance, only the non-strict test joins touching edges
+            tuples = [(r.x0, r.y0, r.x1, r.y1) for r in rects]
+            assert rects_connected(tuples, 0.0) == _legacy_rects_connected(rects, 0.0)
+            outcomes.add(boundary)
+            touching += any(
+                a.x1 == b.x0 or a.y1 == b.y0 for a in rects for b in rects if a is not b
+            )
+        # both answers occur, and exactly touching edges are exercised
+        assert outcomes == {True, False}
+        assert touching > 100
+
+
+class TestDeltaProximityWalks:
+    @settings(max_examples=40, deadline=None)
+    @given(seeded_rng())
+    def test_flags_match_full_recount(self, rng):
+        """Moved hints, full re-tests and a from-scratch evaluation agree
+        on every proposal, through commits and rollbacks."""
+        n = rng.randrange(3, 10)
+        placement = _grid_placement(rng, n)
+        modules = ModuleSet.of([p.module for p in placement.placed])
+        names = list(modules.names())
+        groups = tuple(
+            ProximityGroup(f"p{g}", tuple(rng.sample(names, rng.randrange(2, n + 1))),
+                           margin=rng.choice((0.0, 0.5)))
+            for g in range(rng.randrange(1, 4))
+        )
+        model = model_for_config(modules, (), groups, BStarPlacerConfig())
+        hinted, full = model.evaluator(), model.evaluator()
+        committed = placement_to_coords(placement)
+        assert hinted.reset(dict(committed)) == full.reset(dict(committed)) \
+            == model.evaluate(committed)
+        for _ in range(25):
+            candidate = dict(committed)
+            moved = rng.sample(names, rng.randrange(0, 3))
+            for name in moved:
+                x0, y0, x1, y1 = candidate[name]
+                dx, dy = rng.randrange(-4, 5) * 0.5, rng.randrange(-4, 5) * 0.5
+                candidate[name] = (x0 + dx, y0 + dy, x1 + dx, y1 + dy)
+            a = hinted.propose(candidate, moved)
+            b = full.propose(candidate)
+            assert a == b == model.evaluate(candidate)
+            unsatisfied = sum(not proximity_satisfied(g, candidate) for g in groups)
+            assert hinted._proximity._unsatisfied == unsatisfied
+            if rng.random() < 0.5:
+                hinted.commit()
+                full.commit()
+                committed = candidate
+            else:
+                hinted.rollback()
+                full.rollback()
+            assert hinted.propose(committed, ()) == model.evaluate(committed)
+            hinted.rollback()
+
+    def test_models_without_groups_keep_no_proximity_state(self):
+        modules = ModuleSet.of([Module.hard("a", 1.0, 1.0), Module.hard("b", 1.0, 1.0)])
+        group = ProximityGroup("p", ("a", "b"))
+        assert model_for_config(modules, (), (), BStarPlacerConfig()).evaluator()._proximity is None
+        weightless = BStarPlacerConfig(proximity_weight=0.0)
+        assert model_for_config(modules, (), (group,), weightless).evaluator()._proximity is None
 
 
 class TestReferenceModelEquivalence:

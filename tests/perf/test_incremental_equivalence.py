@@ -39,11 +39,12 @@ from repro.perf import (
     hpwl_of,
     resolve_nets,
 )
-from repro.perf.coords import placement_to_coords
+from repro.perf.coords import bounding_of, placement_to_coords
 from repro.seqpair import SequencePairPlacer
 from repro.seqpair.placer import PlacerConfig, _SeqPairEngine
 from repro.slicing import SlicingPlacer, SlicingPlacerConfig
 from repro.slicing.placer import _SlicingEngine
+from repro.workloads import resolve_workload
 
 from tests.strategies import mixed_module_sets
 
@@ -302,34 +303,94 @@ class TestDeltaHPWL:
         )
 
 
+def _hb_engine(circuit, config):
+    modules = circuit.modules()
+    proximity = circuit.constraints().proximity
+    hb = HBStarTreePlacement(circuit.hierarchy, modules)
+    engine = HBIncrementalEngine(hb, modules, circuit.nets, proximity, config)
+    return hb, engine, model_for_config(modules, circuit.nets, proximity, config)
+
+
 class TestHBIncrementalEngine:
     @pytest.mark.parametrize(
         "make",
-        [fig2_design, miller_opamp, lambda: simple_testcase(12, seed=4)],
-        ids=["fig2", "miller", "synth12"],
+        [
+            fig2_design,
+            miller_opamp,
+            lambda: simple_testcase(12, seed=4),
+            lambda: resolve_workload("gen:n=60,seed=1"),
+            lambda: resolve_workload("gen:n=100,seed=2"),
+            lambda: resolve_workload("gen:n=150,seed=3"),
+        ],
+        ids=["fig2", "miller", "synth12", "gen60", "gen100", "gen150"],
     )
     def test_matches_uncached_cost_with_commit_and_rollback(self, make):
         circuit = make()
         config = BStarPlacerConfig(proximity_weight=2.5, wirelength_weight=0.5)
-        modules = circuit.modules()
-        hb = HBStarTreePlacement(circuit.hierarchy, modules)
-        fast = model_for_config(modules, circuit.nets, circuit.constraints().proximity, config)
-        engine = HBIncrementalEngine(
-            hb, modules, circuit.nets, circuit.constraints().proximity, config
-        )
+        hb, engine, fast = _hb_engine(circuit, config)
         rng = random.Random(2)
-        state = hb.initial_state(rng)
-        assert engine.reset(state) == fast(hb.pack_coords(state))
-        walk = random.Random(3)
+        committed = hb.initial_state(rng)
+        assert engine.reset(committed) == fast(hb.pack_coords(committed))
+        # the functional path draws the same candidate from a twin rng
+        walk, twin = random.Random(3), random.Random(3)
         accept = random.Random(4)
-        for _ in range(40):
-            engine.propose(walk)
+        for step in range(300):
+            candidate = hb.propose(committed, twin)
+            cost = engine.propose(walk)
+            assert cost == fast(hb.pack_coords(candidate)), f"step {step}"
             if accept.random() < 0.5:
                 engine.commit()
+                committed = candidate
             else:
                 engine.rollback()
             # committed engine state must evaluate identically uncached
             assert engine._cost == fast(hb.pack_coords(engine.snapshot()))
+            assert engine._cost == fast(hb.pack_coords(committed))
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(8, 90), st.integers(0, 2**16), st.integers(0, 2**31))
+    def test_level_tables_equal_a_fresh_pack_and_their_extent(self, n, circuit_seed, seed):
+        """Every cached level table — copy-on-write or not — equals the
+        from-scratch pack of the committed state, and its bounding box
+        is exactly ``(0.0, 0.0, *extent)``: the identity that lets a
+        parent size its children, and the cost model its bounding box,
+        without scanning a table."""
+        circuit = resolve_workload(f"gen:n={n},seed={circuit_seed}")
+        hb, engine, _ = _hb_engine(circuit, BStarPlacerConfig())
+        rng = random.Random(seed)
+        engine.reset(hb.initial_state(rng))
+        for step in range(60):
+            engine.propose(rng)
+            if rng.random() < 0.5:
+                engine.commit()
+            else:
+                engine.rollback()
+            if step % 6:
+                continue
+            fresh = hb.pack_levels(engine.snapshot())
+            for name, table in engine._tables.items():
+                assert table.coords == fresh[name].coords, name
+                assert table.extent == fresh[name].extent, name
+                assert bounding_of(table.coords.values()) == (0.0, 0.0, *table.extent)
+
+    def test_moved_set_names_exactly_the_changed_modules(self):
+        """The root's moved list is the set of entries that differ from
+        the committed table — what the removed full-table diff found."""
+        circuit = resolve_workload("gen:n=100,seed=2")
+        hb, engine, _ = _hb_engine(circuit, BStarPlacerConfig())
+        rng = random.Random(5)
+        engine.reset(hb.initial_state(rng))
+        root = circuit.hierarchy.name
+        for _ in range(200):
+            before = engine._tables[root].coords
+            engine.propose(rng)
+            pending = engine._pending.get(root)
+            moved = pending.moved if pending is not None else []
+            engine.commit()
+            after = engine._tables[root].coords
+            changed = [n for n, e in after.items() if before[n] != e]
+            assert sorted(moved) == sorted(changed)
+            assert engine.last_repack_len == len(changed)
 
     def test_trajectory_identical_to_functional_path(self):
         """HierarchicalPlacer draws and costs are unchanged by the

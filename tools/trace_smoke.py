@@ -7,10 +7,14 @@ An end-to-end drill for the flight recorder
 2. the same portfolio reruns with ``--trace`` armed (2 workers, so the
    executor/queue probes fire too) — telemetry is pure observation, so
    the leaderboard must stay byte-identical to the untraced run;
-3. ``repro trace report --json`` renders the trace through the real
+3. every ``anneal.chunk`` of a ``bstar`` or ``hbtree`` walk carries a
+   per-term cost breakdown and a non-empty move-family table — per
+   engine, so one engine's telemetry cannot cover for another's;
+4. ``repro trace report --json`` renders the trace through the real
    CLI entrypoint, and the report is schema-asserted: acceptance
-   curves, move-family tables and per-walk steps present for every
-   walk, the reported final cost equal to the run's.
+   curves, move-family tables for both B*-tree engines and per-walk
+   steps present for every walk, the reported final cost equal to the
+   run's.
 
 Exit code 0 on success; an assertion failure (or a hang caught by the
 CI step timeout) is a telemetry regression.  A real file — not a
@@ -34,6 +38,8 @@ FAST = (("alpha", 0.7), ("steps_per_epoch", 20), ("t_final", 1e-2))
 CIRCUIT = "miller_opamp"
 STARTS = 4
 WORKERS = 2
+#: engines whose walks must explain every chunk (terms + move families)
+EXPLAINED = ("bstar", "hbtree")
 
 
 def rows(result):
@@ -76,8 +82,20 @@ def main() -> int:
             f"  expected {rows(base)}\n  got      {rows(traced)}"
         )
 
-        problems = validate_trace(load_trace(str(trace_dir)))
+        trace = load_trace(str(trace_dir))
+        problems = validate_trace(trace)
         assert not problems, f"trace failed validation: {problems}"
+        chunks = {engine: 0 for engine in EXPLAINED}
+        for event in trace.named("anneal.chunk"):
+            fields = event["fields"]
+            engine = fields.get("engine")
+            if engine in chunks:
+                chunks[engine] += 1
+                assert "terms" in fields, f"{engine} chunk without terms: {fields}"
+                assert fields.get("families"), (
+                    f"{engine} chunk without move families: {fields}"
+                )
+        assert all(chunks.values()), f"no anneal.chunk events for: {chunks}"
 
         report = render_report(trace_dir)
         assert report["schema"] == REPORT_SCHEMA, report["schema"]
@@ -89,7 +107,8 @@ def main() -> int:
             f"acceptance curves missing walks: "
             f"{walk_ids - set(report['acceptance'])}"
         )
-        assert report["families"], "move-family tables must not be empty"
+        missing = set(EXPLAINED) - set(report["families"])
+        assert not missing, f"move-family tables missing engines: {missing}"
         assert report["phases"], "time-in-phase breakdown must not be empty"
         streams = len(report["streams"])
     finally:
