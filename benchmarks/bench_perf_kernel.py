@@ -49,7 +49,7 @@ import random
 import time
 from pathlib import Path
 
-from repro.anneal import Annealer, GeometricSchedule, IncrementalAnnealer
+from repro.anneal import Annealer, IncrementalAnnealer
 from repro.bstar import BStarPlacerConfig
 from repro.bstar.packing import pack
 from repro.bstar.perturb import BStarMoveSet
@@ -189,12 +189,7 @@ def measure(n: int, config: BStarPlacerConfig, repeats: int = 3) -> dict:
         return kernel.cost(state.tree, state.orientations, state.variants)
 
     moves = BStarMoveSet(modules)
-    schedule = GeometricSchedule(
-        t_initial=config.t_initial,
-        t_final=config.t_final,
-        alpha=config.alpha,
-        steps_per_epoch=config.steps_per_epoch,
-    )
+    schedule = config.schedule()
 
     def run_functional(cost_fn) -> tuple[float, float]:
         rng = random.Random(config.seed)

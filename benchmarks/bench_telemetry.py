@@ -43,7 +43,7 @@ from bench_perf_kernel import (
     record_trajectory_entry,
 )
 
-from repro.anneal import GeometricSchedule, IncrementalAnnealer
+from repro.anneal import IncrementalAnnealer
 from repro.bstar import BStarPlacerConfig
 from repro.perf import IncrementalBStarEngine
 from repro.telemetry import DEFAULT_SAMPLE_INTERVAL, TraceRecorder
@@ -66,12 +66,7 @@ def measure(
     columns stay best-of-``repeats`` (the usual noise-floor estimator).
     """
     modules, nets = problem(n)
-    schedule = GeometricSchedule(
-        t_initial=config.t_initial,
-        t_final=config.t_final,
-        alpha=config.alpha,
-        steps_per_epoch=config.steps_per_epoch,
-    )
+    schedule = config.schedule()
 
     def run_once(recorder) -> tuple[float, float]:
         rng = random.Random(config.seed)

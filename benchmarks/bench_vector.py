@@ -42,7 +42,7 @@ import time
 
 from bench_perf_kernel import JSON_PATH, problem, record_trajectory_entry
 
-from repro.anneal import BatchedAnnealer, GeometricSchedule, IncrementalAnnealer
+from repro.anneal import BatchedAnnealer, IncrementalAnnealer
 from repro.bstar import BStarPlacerConfig
 from repro.perf import IncrementalBStarEngine, VectorBStarEngine
 
@@ -52,15 +52,6 @@ VECTOR_TARGET = 5.0
 #: step caps per size — the big points measure throughput scaling; an
 #: uncapped 10k-module incremental walk would run for many minutes
 STEP_CAPS = {10000: 300}
-
-
-def _schedule(config: BStarPlacerConfig) -> GeometricSchedule:
-    return GeometricSchedule(
-        t_initial=config.t_initial,
-        t_final=config.t_final,
-        alpha=config.alpha,
-        steps_per_epoch=config.steps_per_epoch,
-    )
 
 
 def _drive(engine, annealer, max_steps: int | None):
@@ -80,7 +71,7 @@ def _run_vector(modules, nets, config, max_steps, *, evaluator="vector"):
     engine = VectorBStarEngine(modules, nets, (), config, evaluator=evaluator)
     engine.reset(engine.initial_state(rng))
     annealer = BatchedAnnealer(
-        engine, _schedule(config), rng, batch_max=config.vector_batch
+        engine, config.schedule(), rng, batch_max=config.vector_batch
     )
     return _drive(engine, annealer, max_steps)
 
@@ -89,7 +80,7 @@ def _run_incremental(modules, nets, config, max_steps):
     rng = random.Random(config.seed)
     engine = IncrementalBStarEngine(modules, nets, (), config)
     engine.reset(engine.initial_state(rng))
-    annealer = IncrementalAnnealer(engine, _schedule(config), rng)
+    annealer = IncrementalAnnealer(engine, config.schedule(), rng)
     return _drive(engine, annealer, max_steps)
 
 

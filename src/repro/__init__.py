@@ -14,7 +14,9 @@ in Topological Approaches*, DATE 2009.  The package provides:
   deterministic hierarchical placement (section IV);
 * :mod:`repro.sizing` — layout-aware sizing with layout templates and
   in-loop parasitic extraction (section V);
-* :mod:`repro.anneal` — the shared simulated-annealing engine;
+* :mod:`repro.anneal` — the shared simulated-annealing engine and the
+  walk API every annealing placer extends;
+* :mod:`repro.placers` — the engine registry (name -> config, placer);
 * :mod:`repro.cost` — the unified cost subsystem: one declarative,
   delta-capable objective shared by every placer, the portfolio's
   reference ranking and the CLI;

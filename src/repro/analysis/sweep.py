@@ -122,8 +122,8 @@ ENGINE_SIZE_CAPS: dict[str, int] = {"seqpair": 300, "slicing": 600}
 
 
 def sweep_engines() -> tuple[str, ...]:
-    """The annealing engines the grid covers (the portfolio registry)."""
-    from ..parallel import ENGINE_NAMES
+    """The annealing engines the grid covers (the engine registry)."""
+    from ..placers import ENGINE_NAMES
 
     return ENGINE_NAMES
 

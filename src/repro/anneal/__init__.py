@@ -22,21 +22,26 @@ from .schedule import (
     LinearSchedule,
     initial_temperature_from_samples,
 )
+from .walk import AnnealConfig, AnnealingPlacer, CoordsEngine, PlacerResult
 
 __all__ = [
     "CHECKPOINT_VERSION",
+    "AnnealConfig",
     "Annealer",
+    "AnnealingPlacer",
     "AnnealingResult",
     "AnnealingStats",
     "BatchEngine",
     "BatchedAnnealer",
     "CoolingSchedule",
+    "CoordsEngine",
     "FunctionMoveSet",
     "GeometricSchedule",
     "IncrementalAnnealer",
     "IncrementalEngine",
     "LinearSchedule",
     "MoveSet",
+    "PlacerResult",
     "StateEngine",
     "WalkCheckpoint",
     "WeightedMoveSet",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Generic, Protocol, TypeVar
 
 from ..telemetry import NULL_RECORDER
@@ -59,7 +59,6 @@ class AnnealingStats:
     best_cost: float = math.inf
     initial_cost: float = math.inf
     final_temperature: float = 0.0
-    cost_trace: list[float] = field(default_factory=list)
     #: per-term contributions of ``best_cost`` under the placer's
     #: :class:`~repro.cost.CostModel` (filled by the placers' ``run()``;
     #: ``None`` for raw annealer drives or infeasible best states)
@@ -161,8 +160,8 @@ class Annealer(Generic[State]):
     moves:
         Neighbor generator.
     schedule:
-        Cooling schedule; when ``auto_t0`` is set the schedule's initial
-        temperature is rescaled from sampled uphill deltas.
+        Cooling schedule; its initial temperature is rescaled from
+        sampled uphill deltas (the warmup).
     rng:
         Source of randomness (callers pass a seeded instance for
         reproducibility).
@@ -174,16 +173,11 @@ class Annealer(Generic[State]):
         moves: MoveSet[State],
         schedule: CoolingSchedule | None = None,
         rng: random.Random | None = None,
-        *,
-        auto_t0: bool = True,
-        trace_every: int = 0,
     ) -> None:
         self._cost = cost
         self._moves = moves
         self._schedule = schedule or GeometricSchedule()
         self._rng = rng or random.Random(0)
-        self._auto_t0 = auto_t0
-        self._trace_every = trace_every
 
     def run(self, initial: State) -> AnnealingResult[State]:
         """Anneal from ``initial`` until the schedule is exhausted."""
@@ -194,9 +188,7 @@ class Annealer(Generic[State]):
 
         stats = AnnealingStats(initial_cost=current_cost, best_cost=current_cost)
 
-        t_scale = 1.0
-        if self._auto_t0:
-            t_scale = self._warmup_scale(initial, current_cost)
+        t_scale = self._warmup_scale(initial, current_cost)
 
         # Hot loop: hoist every attribute lookup that is invariant per
         # step; bookkeeping that only the final value of matters
@@ -206,7 +198,6 @@ class Annealer(Generic[State]):
         cost_of = self._cost
         random_unit = rng.random
         exp = math.exp
-        trace_every = self._trace_every
         temperature = 0.0
 
         total = self._schedule.total_steps
@@ -222,8 +213,6 @@ class Annealer(Generic[State]):
                 if current_cost < best_cost:
                     best, best_cost = current, current_cost
                     stats.improved += 1
-            if trace_every and step % trace_every == 0:
-                stats.cost_trace.append(current_cost)
 
         stats.steps = total
         if total:
@@ -350,15 +339,10 @@ class IncrementalAnnealer:
         engine: IncrementalEngine,
         schedule: CoolingSchedule | None = None,
         rng: random.Random | None = None,
-        *,
-        auto_t0: bool = True,
-        trace_every: int = 0,
     ) -> None:
         self._engine = engine
         self._schedule = schedule or GeometricSchedule()
         self._rng = rng or random.Random(0)
-        self._auto_t0 = auto_t0
-        self._trace_every = trace_every
         self._recorder = NULL_RECORDER
 
     def set_recorder(self, recorder) -> None:
@@ -400,15 +384,13 @@ class IncrementalAnnealer:
         )
         stats = AnnealingStats(initial_cost=current_cost, best_cost=current_cost)
 
-        t_scale = 1.0
         start = engine.snapshot()
-        if self._auto_t0:
-            # Sample uphill deltas by walking random moves, then restore
-            # the starting state — the functional loop's warmup also
-            # rescales T0 from a discarded walk, and matching it keeps
-            # trajectories identical across the two drivers.
-            t_scale = self._warmup(current_cost)
-            current_cost = engine.reset(start)
+        # Sample uphill deltas by walking random moves, then restore
+        # the starting state — the functional loop's warmup also
+        # rescales T0 from a discarded walk, and matching it keeps
+        # trajectories identical across the two drivers.
+        t_scale = self._warmup(current_cost)
+        current_cost = engine.reset(start)
 
         return WalkCheckpoint(
             step=0,
@@ -458,14 +440,13 @@ class IncrementalAnnealer:
 
         current_cost = checkpoint.current_cost
         best, best_cost = checkpoint.best_state, checkpoint.best_cost
-        stats = replace(checkpoint.stats, cost_trace=list(checkpoint.stats.cost_trace))
+        stats = replace(checkpoint.stats)
 
         propose = engine.propose
         commit = engine.commit
         rollback = engine.rollback
         random_unit = rng.random
         exp = math.exp
-        trace_every = self._trace_every
         temperature = 0.0
 
         # telemetry: every per-step check is hoisted into `collecting`
@@ -521,8 +502,6 @@ class IncrementalAnnealer:
                         best=best_cost,
                         accepted=stats.accepted,
                     )
-            if trace_every and step % trace_every == 0:
-                stats.cost_trace.append(current_cost)
 
         stats.steps = stop
         stats.final_temperature = temperature

@@ -18,7 +18,7 @@ remaining candidates are discarded untested, because accepting changes
 the base state they were proposed from.  A tile therefore consumes
 ``j + 1`` schedule steps when candidate ``j`` accepts (all K when none
 does), which keeps the step accounting, temperature curve, acceptance
-counters and cost trace aligned with the scalar drivers' semantics.
+counters and sampled costs aligned with the scalar drivers' semantics.
 
 The batch width adapts to the measured acceptance ratio: near-certain
 acceptance makes batching pure waste (only candidate 0 ever survives),
@@ -78,13 +78,9 @@ class BatchedAnnealer(IncrementalAnnealer):
         schedule: CoolingSchedule | None = None,
         rng: random.Random | None = None,
         *,
-        auto_t0: bool = True,
-        trace_every: int = 0,
         batch_max: int = 16,
     ) -> None:
-        super().__init__(
-            engine, schedule, rng, auto_t0=auto_t0, trace_every=trace_every
-        )
+        super().__init__(engine, schedule, rng)
         if batch_max < 1:
             raise ValueError(f"batch_max must be >= 1, got {batch_max}")
         self._batch_max = batch_max
@@ -122,14 +118,13 @@ class BatchedAnnealer(IncrementalAnnealer):
 
         current_cost = checkpoint.current_cost
         best, best_cost = checkpoint.best_state, checkpoint.best_cost
-        stats = replace(checkpoint.stats, cost_trace=list(checkpoint.stats.cost_trace))
+        stats = replace(checkpoint.stats)
 
         propose_batch = engine.propose_batch
         accept = engine.accept
         reject_all = engine.reject_all
         random_unit = rng.random
         exp = math.exp
-        trace_every = self._trace_every
         batch_max = self._batch_max
         temperature_at = self._schedule.temperature
         t_scale = checkpoint.t_scale
@@ -206,14 +201,6 @@ class BatchedAnnealer(IncrementalAnnealer):
                                 best=best_cost,
                                 accepted=stats.accepted,
                             )
-            if trace_every:
-                # the first consumed-1 steps were rejections at the old
-                # cost; the last consumed step carries the tile's outcome
-                for i in range(consumed):
-                    if (step + i) % trace_every == 0:
-                        stats.cost_trace.append(
-                            prev_cost if i < consumed - 1 else current_cost
-                        )
             step += consumed
 
         stats.steps = step

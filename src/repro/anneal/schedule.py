@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
+from ..geometry import ordered_sum
+
 
 class CoolingSchedule(Protocol):
     """Maps an iteration counter to a temperature."""
@@ -83,13 +85,19 @@ def initial_temperature_from_samples(deltas: Sequence[float], acceptance: float 
     """Choose T0 so uphill moves of average magnitude are accepted with
     probability ``acceptance`` — the standard warm-up heuristic.
 
-    ``deltas`` are sampled cost increases from random moves; non-positive
-    samples are ignored.
+    ``deltas`` are sampled cost increases from random moves; only finite
+    positive samples count.  A warmup move onto a state that cannot be
+    packed (cost ``inf``, e.g. an unpackable sequence-pair code) yields
+    an infinite delta: averaged in, it would make T0 — and with it every
+    temperature of the walk — infinite, so Metropolis would accept every
+    finite uphill move and the walk would never cool.  Samples are
+    summed left to right (:func:`~repro.geometry.ordered_sum`), so T0 is
+    the same on every interpreter.
     """
     if not (0.0 < acceptance < 1.0):
         raise ValueError("acceptance must be in (0, 1)")
-    uphill = [d for d in deltas if d > 0]
+    uphill = [d for d in deltas if 0 < d < math.inf]
     if not uphill:
         return 1.0
-    avg = sum(uphill) / len(uphill)
+    avg = ordered_sum(uphill) / len(uphill)
     return -avg / math.log(acceptance)

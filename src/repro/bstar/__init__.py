@@ -12,12 +12,7 @@ from .count import catalan, count_bstar_trees, enumerate_bstar_trees
 from .hb_tree import HBStarTreePlacement, HBState, LevelState
 from .packing import pack, pack_sizes
 from .perturb import BStarMoveSet, BStarState
-from .placer import (
-    BStarPlacer,
-    BStarPlacerConfig,
-    BStarPlacerResult,
-    HierarchicalPlacer,
-)
+from .placer import BStarPlacer, BStarPlacerConfig, HierarchicalPlacer
 from .tree import BStarTree
 
 __all__ = [
@@ -26,7 +21,6 @@ __all__ = [
     "BStarMoveSet",
     "BStarPlacer",
     "BStarPlacerConfig",
-    "BStarPlacerResult",
     "BStarState",
     "BStarTree",
     "CommonCentroidError",

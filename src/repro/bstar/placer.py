@@ -15,14 +15,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..anneal import (
-    AnnealingStats,
-    BatchedAnnealer,
-    GeometricSchedule,
-    IncrementalAnnealer,
-)
+from ..anneal import AnnealConfig, AnnealingPlacer, BatchedAnnealer, IncrementalAnnealer
+from ..anneal.walk import CostInputs
 from ..circuit import Circuit
-from ..cost import DEFAULT_TARGET_ASPECT, DEFAULT_WEIGHTS, CostModel, model_for_config
+from ..cost import DEFAULT_TARGET_ASPECT, DEFAULT_WEIGHTS, model_for_config
 from ..geometry import ModuleSet, Net, Placement
 from ..perf import BStarKernel, IncrementalBStarEngine, VectorBStarEngine
 from .hb_tree import HBIncrementalEngine, HBStarTreePlacement, HBState
@@ -30,7 +26,7 @@ from .perturb import BStarMoveSet, BStarState
 
 
 @dataclass(frozen=True)
-class BStarPlacerConfig:
+class BStarPlacerConfig(AnnealConfig):
     """Cost weights and annealing parameters (shared by both placers).
 
     The weight fields *declare* the objective: :func:`~repro.cost.
@@ -44,11 +40,6 @@ class BStarPlacerConfig:
     aspect_weight: float = DEFAULT_WEIGHTS["aspect"]
     proximity_weight: float = DEFAULT_WEIGHTS["proximity"]
     target_aspect: float = DEFAULT_TARGET_ASPECT
-    seed: int = 0
-    t_initial: float = 1.0
-    t_final: float = 1e-4
-    alpha: float = 0.93
-    steps_per_epoch: int = 60
     #: opt into the array-native evaluation tier (flat placer only):
     #: :class:`~repro.perf.VectorBStarEngine` + windowed moves, annealed
     #: K candidates at a time by :class:`~repro.anneal.BatchedAnnealer`.
@@ -61,14 +52,7 @@ class BStarPlacerConfig:
     vector_window_min: int = 8
 
 
-@dataclass
-class BStarPlacerResult:
-    placement: Placement
-    cost: float
-    stats: AnnealingStats
-
-
-class BStarPlacer:
+class BStarPlacer(AnnealingPlacer[BStarState]):
     """Flat simulated-annealing placement over B*-trees (no hierarchy)."""
 
     def __init__(
@@ -87,6 +71,7 @@ class BStarPlacer:
         # (dirty-suffix repack + delta HPWL), whose costs are
         # bit-identical to this kernel on every state.
         self._kernel = BStarKernel(modules, nets, (), self._config)
+        self._cost_model = self._kernel.model
 
     @classmethod
     def for_circuit(
@@ -96,30 +81,10 @@ class BStarPlacer:
         the :class:`HierarchicalPlacer`'s job; this engine ignores them)."""
         return cls(circuit.modules(), circuit.nets, config)
 
-    @property
-    def cost_model(self) -> CostModel:
-        """The unified objective this placer anneals."""
-        return self._kernel.model
-
-    def cost(self, state: BStarState) -> float:
-        return self._kernel.cost(state.tree, state.orientations, state.variants)
-
-    def cost_breakdown(self, state: BStarState) -> dict[str, float]:
-        """Per-term contributions of a state (reporting tier)."""
-        return self._kernel.model.breakdown(
-            self._kernel.pack(state.tree, state.orientations, state.variants)
-        )
+    def _cost_inputs(self, state: BStarState) -> CostInputs:
+        return self._kernel.pack(state.tree, state.orientations, state.variants), None
 
     # -- walk API (shared by run() and repro.parallel) ------------------------
-
-    def schedule(self) -> GeometricSchedule:
-        cfg = self._config
-        return GeometricSchedule(
-            t_initial=cfg.t_initial,
-            t_final=cfg.t_final,
-            alpha=cfg.alpha,
-            steps_per_epoch=cfg.steps_per_epoch,
-        )
 
     def engine(self):
         """A fresh annealing engine (call ``reset`` before annealing).
@@ -141,7 +106,7 @@ class BStarPlacer:
                 engine, self.schedule(), rng,
                 batch_max=self._config.vector_batch,
             )
-        return IncrementalAnnealer(engine, self.schedule(), rng)
+        return super().annealer(engine, rng)
 
     def initial_state(self, rng: random.Random) -> BStarState:
         return self._moves.initial_state(rng)
@@ -157,19 +122,8 @@ class BStarPlacer:
             state.tree, state.orientations, state.variants
         ).normalized()
 
-    def run(self) -> BStarPlacerResult:
-        rng = random.Random(self._config.seed)
-        engine = self.engine()
-        engine.reset(self.initial_state(rng))
-        annealer = self.annealer(engine, rng)
-        outcome = annealer.run()
-        outcome.stats.term_breakdown = self.cost_breakdown(outcome.best_state)
-        return BStarPlacerResult(
-            self.finalize(outcome.best_state), outcome.best_cost, outcome.stats
-        )
 
-
-class HierarchicalPlacer:
+class HierarchicalPlacer(AnnealingPlacer[HBState]):
     """Section-III hierarchical placer over the HB*-tree forest."""
 
     def __init__(self, circuit: Circuit, config: BStarPlacerConfig | None = None) -> None:
@@ -191,31 +145,13 @@ class HierarchicalPlacer:
         """Uniform factory (the constructor already takes a circuit)."""
         return cls(circuit, config)
 
-    @property
-    def cost_model(self) -> CostModel:
-        """The unified objective this placer anneals."""
-        return self._cost_model
-
     def pack(self, state: HBState) -> Placement:
         return self._hb.pack(state)
 
-    def cost(self, state: HBState) -> float:
-        return self._cost_model(self._hb.pack_coords(state))
-
-    def cost_breakdown(self, state: HBState) -> dict[str, float]:
-        """Per-term contributions of a state (reporting tier)."""
-        return self._cost_model.breakdown(self._hb.pack_coords(state))
+    def _cost_inputs(self, state: HBState) -> CostInputs:
+        return self._hb.pack_coords(state), None
 
     # -- walk API (shared by run() and repro.parallel) ------------------------
-
-    def schedule(self) -> GeometricSchedule:
-        cfg = self._config
-        return GeometricSchedule(
-            t_initial=cfg.t_initial,
-            t_final=cfg.t_final,
-            alpha=cfg.alpha,
-            steps_per_epoch=cfg.steps_per_epoch,
-        )
 
     def engine(self) -> HBIncrementalEngine:
         """A fresh incremental forest engine: repacks only the perturbed
@@ -235,23 +171,8 @@ class HierarchicalPlacer:
             self._config,
         )
 
-    def annealer(self, engine, rng: random.Random) -> IncrementalAnnealer:
-        """The annealing driver (always the scalar one: see :meth:`engine`)."""
-        return IncrementalAnnealer(engine, self.schedule(), rng)
-
     def initial_state(self, rng: random.Random) -> HBState:
         return self._hb.initial_state(rng)
 
     def finalize(self, state: HBState) -> Placement:
         return self._hb.pack(state)
-
-    def run(self) -> BStarPlacerResult:
-        rng = random.Random(self._config.seed)
-        engine = self.engine()
-        engine.reset(self.initial_state(rng))
-        annealer = self.annealer(engine, rng)
-        outcome = annealer.run()
-        outcome.stats.term_breakdown = self.cost_breakdown(outcome.best_state)
-        return BStarPlacerResult(
-            self.finalize(outcome.best_state), outcome.best_cost, outcome.stats
-        )

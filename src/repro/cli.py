@@ -27,13 +27,11 @@ import argparse
 import sys
 
 from .analysis import render_placement
-from .bstar import BStarPlacer, BStarPlacerConfig, HierarchicalPlacer
 from .circuit import Circuit, TABLE1_MODULE_COUNTS, table1_circuit
 from .cost import TERM_NAMES, check_term_name, reference_model, weight_overrides
+from .placers import ENGINE_NAMES, build_config, make_placer
 from .route import Router
-from .seqpair import PlacerConfig, SequencePairPlacer
 from .shapes import DeterministicConfig, DeterministicPlacer
-from .slicing import SlicingPlacer, SlicingPlacerConfig
 from .workloads import (
     FILE_PREFIX,
     GEN_PREFIX,
@@ -42,30 +40,9 @@ from .workloads import (
     write_bookshelf,
 )
 
-_ENGINES = ("seqpair", "hbtree", "bstar", "deterministic", "slicing")
-
-#: engine name -> annealing config class (the deterministic placer does
-#: not anneal a weighted objective, so it takes no cost weights).
-#: Deliberately duplicates the classes in ``repro.parallel.engines``'
-#: registry: single-run commands must not import ``repro.parallel``
-#: (see ``_portfolio_engines``); ``tests/test_cli_cost.py`` pins the
-#: two mappings against each other so they cannot drift.
-_WEIGHTED_CONFIGS = {
-    "seqpair": PlacerConfig,
-    "hbtree": BStarPlacerConfig,
-    "bstar": BStarPlacerConfig,
-    "slicing": SlicingPlacerConfig,
-}
-
-
-def _portfolio_engines() -> tuple[str, ...]:
-    """Engines the multi-start portfolio can fan out over — the parallel
-    registry itself (the deterministic placer is seed-insensitive, so it
-    never joins a portfolio).  Imported lazily so plain single-run
-    commands never touch :mod:`repro.parallel`."""
-    from .parallel import ENGINE_NAMES
-
-    return ENGINE_NAMES
+#: single-run engines: the annealing registry plus the deterministic
+#: shape-function placer (which enumerates instead of annealing)
+_ENGINES = (*ENGINE_NAMES, "deterministic")
 
 
 def _load_circuit(name: str) -> Circuit:
@@ -123,14 +100,14 @@ def _config_overrides(engine: str, weights: dict[str, float]) -> dict[str, float
     """Cost-weight overrides as config kwargs, validated per engine."""
     if not weights:
         return {}
-    config_cls = _WEIGHTED_CONFIGS.get(engine)
-    if config_cls is None:
+    if engine not in ENGINE_NAMES:
+        # the deterministic placer does not anneal a weighted objective
         raise SystemExit(
             f"engine {engine!r} does not anneal a weighted cost; "
-            f"--cost-weights applies to: {', '.join(_WEIGHTED_CONFIGS)}"
+            f"--cost-weights applies to: {', '.join(ENGINE_NAMES)}"
         )
     try:
-        return weight_overrides(weights, config_cls)
+        return weight_overrides(weights, type(build_config(engine, 0)))
     except ValueError as exc:
         raise SystemExit(
             f"engine {engine!r}: {exc.args[0]}"
@@ -146,28 +123,16 @@ def _place(
     vector_tier: bool = False,
 ):
     overrides = _config_overrides(engine, weights or {})
-    if engine == "seqpair":
-        return SequencePairPlacer.for_circuit(
-            circuit, PlacerConfig(seed=seed, **overrides)
-        ).run().placement
-    if engine == "hbtree":
-        return HierarchicalPlacer(
-            circuit, BStarPlacerConfig(seed=seed, **overrides)
-        ).run().placement
-    if engine == "bstar":
-        return BStarPlacer.for_circuit(
-            circuit,
-            BStarPlacerConfig(seed=seed, vector_tier=vector_tier, **overrides),
-        ).run().placement
     if engine == "deterministic":
         return DeterministicPlacer(
             circuit, DeterministicConfig(seed=seed)
         ).run().placement
-    if engine == "slicing":
-        return SlicingPlacer(
-            circuit.modules(), circuit.nets, SlicingPlacerConfig(seed=seed, **overrides)
-        ).run().placement
-    raise SystemExit(f"unknown engine {engine!r}; try one of: {', '.join(_ENGINES)}")
+    if engine not in ENGINE_NAMES:
+        raise SystemExit(f"unknown engine {engine!r}; try one of: {', '.join(_ENGINES)}")
+    if vector_tier:
+        # engine validation happened in cmd_place: bstar only
+        overrides["vector_tier"] = True
+    return make_placer(circuit, engine, seed, tuple(overrides.items())).run().placement
 
 
 # -- commands -----------------------------------------------------------------
@@ -240,12 +205,13 @@ def _portfolio_place(args, weights: dict[str, float]):
             engines = (
                 tuple(args.engines.split(",")) if args.engines else (args.engine,)
             )
-            supported = _portfolio_engines()
-            unsupported = [e for e in engines if e not in supported]
+            # the deterministic placer is seed-insensitive, so it never
+            # joins a portfolio
+            unsupported = [e for e in engines if e not in ENGINE_NAMES]
             if unsupported:
                 raise SystemExit(
                     f"engine(s) not usable in a portfolio: "
-                    f"{', '.join(unsupported)}; try: {', '.join(supported)}"
+                    f"{', '.join(unsupported)}; try: {', '.join(ENGINE_NAMES)}"
                 )
             # one overrides tuple feeds every walk, so every engine in
             # the portfolio must declare every overridden term; the
@@ -472,12 +438,11 @@ def cmd_sweep(args) -> int:
         narrowing["workloads"] = tuple(args.workloads)
     if args.engines:
         engines = tuple(e.strip() for e in args.engines.split(",") if e.strip())
-        supported = _portfolio_engines()
-        unknown = [e for e in engines if e not in supported]
+        unknown = [e for e in engines if e not in ENGINE_NAMES]
         if unknown:
             raise SystemExit(
                 f"sweep: unknown engine(s) {', '.join(unknown)}; "
-                f"try: {', '.join(supported)}"
+                f"try: {', '.join(ENGINE_NAMES)}"
             )
         narrowing["engines"] = engines
     if args.budget is not None:

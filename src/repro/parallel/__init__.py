@@ -15,13 +15,11 @@ makes the whole run resumable (``PortfolioRunner.resume``) — see the
 "Fault tolerance" section of ``docs/parallel.md``.
 """
 
+from ..placers import ENGINE_NAMES, build_config, validate_engines
 from .engines import (
-    ENGINE_NAMES,
-    build_config,
     build_placer,
     build_placer_by_name,
     compress_overrides,
-    validate_engines,
     verify_walk_checkpoint,
     walk_chunk_count,
     walk_total_steps,

@@ -1,10 +1,12 @@
-"""Engine registry: walk specs -> placers, schedules and budgets.
+"""Walk specs -> placers, schedules and budgets.
 
-Every annealing placer exposes the same walk API — ``schedule()`` /
-``engine()`` / ``initial_state(rng)`` / ``finalize(state)`` — so the
-portfolio runner can drive any of them through one code path.  This
-module maps engine *names* onto those placers and handles the two
-pieces of config arithmetic the runner needs:
+Every annealing placer exposes the same walk API
+(:class:`~repro.anneal.AnnealingPlacer`: ``schedule()`` / ``engine()``
+/ ``annealer(engine, rng)`` / ``initial_state(rng)`` /
+``finalize(state)``), so the portfolio runner drives any of them
+through one code path.  Engine names resolve through the one registry
+in :mod:`repro.placers`; this module adds what the runner needs on
+top:
 
 * :func:`build_placer` — rebuild a placer from a spawn-safe
   :class:`~repro.parallel.jobs.WalkSpec` (used identically by worker
@@ -12,54 +14,22 @@ pieces of config arithmetic the runner needs:
 * :func:`compress_overrides` — shrink a schedule to a step budget by
   scaling ``steps_per_epoch``, keeping the temperature *shape* (same
   ``t_initial -> t_final`` decay, fewer moves per epoch) so multi-start
-  walks splitting one budget still anneal end to end.
+  walks splitting one budget still anneal end to end;
+* the walk arithmetic (:func:`walk_total_steps`,
+  :func:`walk_chunk_count`, :func:`verify_walk_checkpoint`), read off
+  the config's own :meth:`~repro.anneal.AnnealConfig.schedule`.
 """
 
 from __future__ import annotations
 
-from ..anneal import GeometricSchedule
-from ..bstar import BStarPlacerConfig, BStarPlacer, HierarchicalPlacer
 from ..circuit import Circuit
+from ..placers import build_config, make_placer
 from ..workloads import resolve_workload
-from ..seqpair import PlacerConfig, SequencePairPlacer
-from ..slicing import SlicingPlacer, SlicingPlacerConfig
 from .jobs import WalkSpec
-
-#: engine name -> (config class, placer factory)
-_REGISTRY = {
-    "bstar": (BStarPlacerConfig, BStarPlacer.for_circuit),
-    "hbtree": (BStarPlacerConfig, HierarchicalPlacer.for_circuit),
-    "seqpair": (PlacerConfig, SequencePairPlacer.for_circuit),
-    "slicing": (SlicingPlacerConfig, SlicingPlacer.for_circuit),
-}
-
-#: all annealing engines the portfolio can fan out over
-ENGINE_NAMES = tuple(_REGISTRY)
-
-
-def validate_engines(engines: tuple[str, ...]) -> tuple[str, ...]:
-    """Check every name against the registry; returns the tuple."""
-    unknown = [e for e in engines if e not in _REGISTRY]
-    if unknown:
-        raise ValueError(
-            f"unknown engine(s) {', '.join(map(repr, unknown))}; "
-            f"try: {', '.join(ENGINE_NAMES)}"
-        )
-    if not engines:
-        raise ValueError("need at least one engine")
-    return tuple(engines)
-
-
-def build_config(engine: str, seed: int, overrides: tuple[tuple[str, object], ...]):
-    """The engine's config dataclass with ``seed`` and overrides applied."""
-    config_cls, _ = _REGISTRY[engine]
-    return config_cls(seed=seed, **dict(overrides))
-
 
 def build_placer(circuit: Circuit, spec: WalkSpec):
     """Rebuild the placer a spec describes (worker-side and coordinator-side)."""
-    _, factory = _REGISTRY[spec.engine]
-    return factory(circuit, build_config(spec.engine, spec.seed, spec.overrides))
+    return make_placer(circuit, spec.engine, spec.seed, spec.overrides)
 
 
 def build_placer_by_name(spec: WalkSpec):
@@ -70,16 +40,13 @@ def build_placer_by_name(spec: WalkSpec):
 def schedule_epochs(engine: str, overrides: tuple[tuple[str, object], ...]) -> int:
     """Cooling epochs of the engine's schedule under ``overrides``.
 
-    Derived from :class:`~repro.anneal.GeometricSchedule` itself (not a
-    re-implementation): checkpoints carry the schedule length, and
+    Read off the config's own schedule (not a re-implementation):
+    checkpoints carry the schedule length, and
     :meth:`~repro.anneal.IncrementalAnnealer.advance` rejects a resume
     whose schedule disagrees — so this count must track the real
     schedule bit for bit, forever.
     """
-    cfg = build_config(engine, 0, overrides)
-    return GeometricSchedule(
-        t_initial=cfg.t_initial, t_final=cfg.t_final, alpha=cfg.alpha, steps_per_epoch=1
-    ).epochs
+    return build_config(engine, 0, overrides).schedule().epochs
 
 
 def compress_overrides(
@@ -105,9 +72,7 @@ def compress_overrides(
 
 def walk_total_steps(spec: WalkSpec) -> int:
     """Schedule length of a spec's walk, without building the placer."""
-    cfg = build_config(spec.engine, spec.seed, spec.overrides)
-    epochs = schedule_epochs(spec.engine, spec.overrides)
-    return epochs * cfg.steps_per_epoch
+    return build_config(spec.engine, spec.seed, spec.overrides).schedule().total_steps
 
 
 def walk_chunk_count(spec: WalkSpec, chunk_steps: int) -> int:

@@ -4,7 +4,7 @@ Nothing in this module holds a live placer, engine or circuit: a
 :class:`WalkSpec` names its workload (resolved through
 :func:`repro.workloads.resolve_workload` — a built-in name, a
 ``gen:...`` family or a ``file:...`` benchmark), its engine (resolved
-through :data:`repro.parallel.engines.ENGINE_NAMES`) and carries plain
+through :data:`repro.placers.ENGINE_NAMES`) and carries plain
 config overrides, so a worker process rebuilds everything it needs from
 a few hundred bytes.  The only state that crosses a process boundary
 mid-walk is the :class:`~repro.anneal.WalkCheckpoint` inside a

@@ -77,13 +77,11 @@ from typing import Callable, Iterable
 from ..anneal import AnnealingStats, WalkCheckpoint
 from ..circuit import Circuit
 from ..cost import reference_model
+from ..placers import ENGINE_NAMES, build_config, validate_engines
 from ..workloads import resolve_workload
 from .engines import (
-    ENGINE_NAMES,
-    build_config,
     build_placer,
     compress_overrides,
-    validate_engines,
     verify_walk_checkpoint,
     walk_chunk_count,
     walk_total_steps,

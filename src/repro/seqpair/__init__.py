@@ -8,7 +8,7 @@ from .enumerate_sp import (
 )
 from .moves import PlacementState, SymmetricMoveSet
 from .packing import pack_lcs, pack_longest_path
-from .placer import PlacerConfig, PlacerResult, SequencePairPlacer
+from .placer import PlacerConfig, SequencePairPlacer
 from .seqpair import Relation, SequencePair
 from .tcg import TransitiveClosureGraph
 from .symmetry import (
@@ -26,7 +26,6 @@ from .symmetry import (
 __all__ = [
     "PlacementState",
     "PlacerConfig",
-    "PlacerResult",
     "Relation",
     "SequencePair",
     "SequencePairPlacer",

@@ -12,16 +12,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..anneal import AnnealingStats, GeometricSchedule, IncrementalAnnealer
+from ..anneal import AnnealConfig, AnnealingPlacer, CoordsEngine
+from ..anneal.walk import CostInputs
 from ..circuit import Circuit, SymmetryGroup
-from ..cost import DEFAULT_TARGET_ASPECT, DEFAULT_WEIGHTS, CostModel, model_for_config
+from ..cost import DEFAULT_TARGET_ASPECT, DEFAULT_WEIGHTS, model_for_config
 from ..geometry import ModuleSet, Net, Placement
 from .moves import PlacementState, SymmetricMoveSet
 from .symmetry import SymmetricPackingError, pack_symmetric, pack_symmetric_coords
 
 
 @dataclass(frozen=True)
-class PlacerConfig:
+class PlacerConfig(AnnealConfig):
     """Cost weights and annealing parameters.
 
     The weight fields declare the objective (no proximity term: the
@@ -34,24 +35,9 @@ class PlacerConfig:
     wirelength_weight: float = DEFAULT_WEIGHTS["wirelength"]
     aspect_weight: float = DEFAULT_WEIGHTS["aspect"]
     target_aspect: float = DEFAULT_TARGET_ASPECT
-    seed: int = 0
-    t_initial: float = 1.0
-    t_final: float = 1e-4
-    alpha: float = 0.93
-    steps_per_epoch: int = 60
 
 
-@dataclass
-class PlacerResult:
-    """Best placement plus the state that produced it and run statistics."""
-
-    placement: Placement
-    state: PlacementState
-    cost: float
-    stats: AnnealingStats
-
-
-class SequencePairPlacer:
+class SequencePairPlacer(AnnealingPlacer[PlacementState]):
     """Anneal over S-F sequence-pairs for a module set with constraints."""
 
     def __init__(
@@ -81,59 +67,21 @@ class SequencePairPlacer:
             config,
         )
 
-    # -- cost ---------------------------------------------------------------
-
-    @property
-    def cost_model(self) -> CostModel:
-        """The unified objective this placer anneals."""
-        return self._cost_model
-
     def pack(self, state: PlacementState) -> Placement:
         """Placement for a state (exact mirror symmetry enforced)."""
         return pack_symmetric(
             state.sp, self._modules, self._groups, state.orientations, state.variants
         )
 
-    def cost(self, state: PlacementState) -> float:
-        """Cost of a state, evaluated on the coordinate tier.
-
-        Bit-identical to evaluating ``self.pack(state)`` through the
-        placement-tier formula (the packed rectangles are the same
-        floats; see ``tests/perf/``), but no ``Placement`` is allocated.
-        Infeasible codes score ``inf``.
-        """
-        coords = self._coords_of(state)
-        if coords is None:
-            return float("inf")
-        return self._cost_model.evaluate(coords)
-
-    def cost_breakdown(self, state: PlacementState) -> dict[str, float] | None:
-        """Per-term contributions of a state (``None`` when infeasible)."""
-        coords = self._coords_of(state)
-        if coords is None:
-            return None
-        return self._cost_model.breakdown(coords)
-
     # -- walk API (shared by run() and repro.parallel) ------------------------
 
-    def schedule(self) -> GeometricSchedule:
-        cfg = self._config
-        return GeometricSchedule(
-            t_initial=cfg.t_initial,
-            t_final=cfg.t_final,
-            alpha=cfg.alpha,
-            steps_per_epoch=cfg.steps_per_epoch,
-        )
-
-    def engine(self) -> "_SeqPairEngine":
+    def engine(self) -> CoordsEngine[PlacementState]:
         """A fresh incremental engine: rejected codes roll back per-net
         HPWL caches instead of being re-summed next step; draws and
         costs match the functional path bit for bit."""
-        return _SeqPairEngine(self)
-
-    def annealer(self, engine, rng: random.Random) -> IncrementalAnnealer:
-        """The annealing driver for this placer's engine."""
-        return IncrementalAnnealer(engine, self.schedule(), rng)
+        return CoordsEngine(
+            self._moves.propose, self._cost_inputs, self._cost_model.evaluator()
+        )
 
     def initial_state(self, rng: random.Random) -> PlacementState:
         return self._moves.initial_state(rng)
@@ -142,26 +90,12 @@ class SequencePairPlacer:
         """Materialize a state as a normalized :class:`Placement`."""
         return self.pack(state).normalized()
 
-    # -- run ------------------------------------------------------------------
+    def _cost_inputs(self, state: PlacementState) -> CostInputs:
+        """Flat coordinate table of a state (``None`` when infeasible).
 
-    def run(self) -> PlacerResult:
-        rng = random.Random(self._config.seed)
-        engine = self.engine()
-        engine.reset(self.initial_state(rng))
-        annealer = self.annealer(engine, rng)
-        outcome = annealer.run()
-        outcome.stats.term_breakdown = self.cost_breakdown(outcome.best_state)
-        return PlacerResult(
-            placement=self.finalize(outcome.best_state),
-            state=outcome.best_state,
-            cost=outcome.best_cost,
-            stats=outcome.stats,
-        )
-
-    # -- internals -----------------------------------------------------------
-
-    def _coords_of(self, state: PlacementState):
-        """Flat coordinate table of a state (``None`` when infeasible)."""
+        The packed rectangles are the same floats as :meth:`pack`'s
+        (see ``tests/perf/``), but no ``Placement`` is allocated.
+        """
         try:
             xs, ys, sizes = pack_symmetric_coords(
                 state.sp,
@@ -177,72 +111,5 @@ class SequencePairPlacer:
             w, h = sizes[name]
             x0, y0 = xs[name], ys[name]
             coords[name] = (x0, y0, x0 + w, y0 + h)
-        return coords
+        return coords, None
 
-
-class _SeqPairEngine:
-    """Incremental-protocol adapter for sequence-pair annealing.
-
-    Packing a symmetric-feasible code is monolithic (the LCS evaluation
-    rebuilds every coordinate), so the win here is the protocol itself
-    plus the model's :class:`~repro.cost.CostEvaluator`: each
-    candidate's coordinates are diffed against the last accepted table
-    and only the nets of modules that actually moved are rescanned,
-    with commit/rollback keeping the per-net cache in lockstep with
-    accept/reject.  Costs are bit-identical to
-    :meth:`SequencePairPlacer.cost` (``tests/perf/``), so annealing
-    trajectories are unchanged.
-    """
-
-    def __init__(self, placer: SequencePairPlacer) -> None:
-        self._placer = placer
-        self._eval = placer.cost_model.evaluator()
-        self._current: PlacementState | None = None
-        self._candidate: PlacementState | None = None
-        self._candidate_packed = False
-        self._cost = float("inf")
-        self._pending_cost = float("inf")
-
-    def reset(self, state: PlacementState) -> float:
-        self._current = state
-        coords = self._placer._coords_of(state)
-        if coords is None:
-            self._cost = float("inf")
-        else:
-            self._cost = self._eval.reset(coords)
-        return self._cost
-
-    def initial_cost(self) -> float:
-        return self._cost
-
-    def propose(self, rng: random.Random) -> float:
-        self._candidate = self._placer._moves.propose(self._current, rng)
-        coords = self._placer._coords_of(self._candidate)
-        if coords is None:
-            # infeasible pack: infinite cost, nothing entered the caches
-            self._candidate_packed = False
-            self._pending_cost = float("inf")
-            return self._pending_cost
-        self._candidate_packed = True
-        self._pending_cost = self._eval.propose(coords)
-        return self._pending_cost
-
-    def commit(self) -> None:
-        self._current = self._candidate
-        self._candidate = None
-        if self._candidate_packed:
-            # the per-net cache now describes the committed coords; an
-            # unpacked (infinite-cost) commit leaves the cache on the
-            # last packed baseline, which stays correct for diffing
-            self._eval.commit()
-        self._candidate_packed = False
-        self._cost = self._pending_cost
-
-    def rollback(self) -> None:
-        self._candidate = None
-        if self._candidate_packed:
-            self._eval.rollback()
-        self._candidate_packed = False
-
-    def snapshot(self) -> PlacementState:
-        return self._current  # frozen dataclass: already immutable

@@ -2,7 +2,7 @@
 representation the paper argues against for analog layout (section I)."""
 
 from .packing import pack_slicing, shape_function_of
-from .placer import SlicingPlacer, SlicingPlacerConfig, SlicingPlacerResult
+from .placer import SlicingPlacer, SlicingPlacerConfig
 from .polish import OPERATORS, PolishExpression
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "PolishExpression",
     "SlicingPlacer",
     "SlicingPlacerConfig",
-    "SlicingPlacerResult",
     "pack_slicing",
     "shape_function_of",
 ]

@@ -14,15 +14,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..anneal import AnnealingStats, GeometricSchedule, IncrementalAnnealer
-from ..cost import DEFAULT_WEIGHTS, CostModel, model_for_config
+from ..anneal import AnnealConfig, AnnealingPlacer, CoordsEngine
+from ..anneal.walk import CostInputs
+from ..cost import DEFAULT_WEIGHTS, model_for_config
 from ..geometry import ModuleSet, Net, Placement
 from .packing import pack_slicing, shape_function_of
 from .polish import PolishExpression
 
 
 @dataclass(frozen=True)
-class SlicingPlacerConfig:
+class SlicingPlacerConfig(AnnealConfig):
     """Cost weights and annealing parameters.
 
     Wirelength defaults to 0.0 — the classic Wong-Liu objective is
@@ -31,23 +32,10 @@ class SlicingPlacerConfig:
 
     area_weight: float = DEFAULT_WEIGHTS["area"]
     wirelength_weight: float = 0.0
-    seed: int = 0
-    t_initial: float = 1.0
-    t_final: float = 1e-4
-    alpha: float = 0.93
-    steps_per_epoch: int = 60
     max_shapes: int | None = 16
 
 
-@dataclass
-class SlicingPlacerResult:
-    placement: Placement
-    expression: PolishExpression
-    cost: float
-    stats: AnnealingStats
-
-
-class SlicingPlacer:
+class SlicingPlacer(AnnealingPlacer[PolishExpression]):
     """Anneal over the slicing floorplan space."""
 
     def __init__(
@@ -70,30 +58,14 @@ class SlicingPlacer:
         baseline the topological engines are measured against)."""
         return cls(circuit.modules(), circuit.nets, config)
 
-    @property
-    def cost_model(self) -> CostModel:
-        """The unified objective this placer anneals."""
-        return self._cost_model
-
-    def cost(self, expr: PolishExpression) -> float:
-        model = self._cost_model
-        best = self._best_shape_of(expr)
+    def _cost_inputs(self, expr: PolishExpression) -> CostInputs:
+        sf = shape_function_of(expr, self._modules, max_shapes=self._config.max_shapes)
+        best = sf.min_area_shape()
         # The selected shape's own area is the objective (not a bounding
         # box over blocks); coordinates are walked only when an active
         # wirelength term will read them.
-        coords = best.coords() if model.tracks_wirelength else {}
-        return model.evaluate(coords, area=best.area)
-
-    def cost_breakdown(self, expr: PolishExpression) -> dict[str, float]:
-        """Per-term contributions of an expression (reporting tier)."""
-        model = self._cost_model
-        best = self._best_shape_of(expr)
-        coords = best.coords() if model.tracks_wirelength else {}
-        return model.breakdown(coords, area=best.area)
-
-    def _best_shape_of(self, expr: PolishExpression):
-        sf = shape_function_of(expr, self._modules, max_shapes=self._config.max_shapes)
-        return sf.min_area_shape()
+        coords = best.coords() if self._cost_model.tracks_wirelength else {}
+        return coords, best.area
 
     def _move(self, expr: PolishExpression, rng: random.Random) -> PolishExpression:
         roll = rng.random()
@@ -105,96 +77,15 @@ class SlicingPlacer:
 
     # -- walk API (shared by run() and repro.parallel) ------------------------
 
-    def schedule(self) -> GeometricSchedule:
-        cfg = self._config
-        return GeometricSchedule(
-            t_initial=cfg.t_initial,
-            t_final=cfg.t_final,
-            alpha=cfg.alpha,
-            steps_per_epoch=cfg.steps_per_epoch,
-        )
-
-    def engine(self) -> "_SlicingEngine":
+    def engine(self) -> CoordsEngine[PolishExpression]:
         """A fresh incremental engine (propose -> commit/rollback):
         wirelength, when enabled, is maintained per net by the model's
         :class:`~repro.cost.CostEvaluator` instead of rescanned; draws
         and costs match the functional path bit for bit."""
-        return _SlicingEngine(self)
-
-    def annealer(self, engine, rng: random.Random) -> IncrementalAnnealer:
-        """The annealing driver for this placer's engine."""
-        return IncrementalAnnealer(engine, self.schedule(), rng)
+        return CoordsEngine(self._move, self._cost_inputs, self._cost_model.evaluator())
 
     def initial_state(self, rng: random.Random) -> PolishExpression:
         return PolishExpression.random(self._modules.names(), rng)
 
     def finalize(self, expr: PolishExpression) -> Placement:
         return pack_slicing(expr, self._modules, max_shapes=self._config.max_shapes)
-
-    def run(self) -> SlicingPlacerResult:
-        rng = random.Random(self._config.seed)
-        engine = self.engine()
-        engine.reset(self.initial_state(rng))
-        annealer = self.annealer(engine, rng)
-        outcome = annealer.run()
-        outcome.stats.term_breakdown = self.cost_breakdown(outcome.best_state)
-        return SlicingPlacerResult(
-            placement=self.finalize(outcome.best_state),
-            expression=outcome.best_state,
-            cost=outcome.best_cost,
-            stats=outcome.stats,
-        )
-
-
-class _SlicingEngine:
-    """Incremental-protocol adapter for Polish-expression annealing.
-
-    Stockmeyer packing is monolithic, so the engine's increment is the
-    wirelength term: candidate coordinates are diffed against the last
-    accepted shape by the model's :class:`~repro.cost.CostEvaluator`
-    and only the nets of moved blocks are rescanned.  Costs are
-    bit-identical to :meth:`SlicingPlacer.cost`.
-    """
-
-    def __init__(self, placer: SlicingPlacer) -> None:
-        self._placer = placer
-        self._track_wl = placer.cost_model.tracks_wirelength
-        self._eval = placer.cost_model.evaluator()
-        self._current: PolishExpression | None = None
-        self._candidate: PolishExpression | None = None
-        self._cost = float("inf")
-        self._pending_cost = float("inf")
-
-    def reset(self, expr: PolishExpression) -> float:
-        self._current = expr
-        if not self._track_wl:
-            self._cost = self._placer.cost(expr)
-        else:
-            best = self._placer._best_shape_of(expr)
-            self._cost = self._eval.reset(best.coords(), area=best.area)
-        return self._cost
-
-    def initial_cost(self) -> float:
-        return self._cost
-
-    def propose(self, rng: random.Random) -> float:
-        self._candidate = self._placer._move(self._current, rng)
-        if not self._track_wl:
-            self._pending_cost = self._placer.cost(self._candidate)
-        else:
-            best = self._placer._best_shape_of(self._candidate)
-            self._pending_cost = self._eval.propose(best.coords(), area=best.area)
-        return self._pending_cost
-
-    def commit(self) -> None:
-        self._current = self._candidate
-        self._candidate = None
-        self._eval.commit()
-        self._cost = self._pending_cost
-
-    def rollback(self) -> None:
-        self._candidate = None
-        self._eval.rollback()
-
-    def snapshot(self) -> PolishExpression:
-        return self._current  # immutable expression

@@ -64,24 +64,11 @@ class TestAnnealer:
         assert 0.0 < stats.acceptance_ratio <= 1.0
         assert stats.best_cost == result.best_cost
 
-    def test_trace(self):
-        annealer = Annealer(
-            quadratic_cost,
-            FunctionMoveSet(gaussian_step),
-            GeometricSchedule(t_final=0.1, steps_per_epoch=10),
-            random.Random(3),
-            trace_every=10,
-        )
-        result = annealer.run(5.0)
-        assert len(result.stats.cost_trace) > 0
-
     def test_handles_infinite_cost_moves(self):
         def cost(x):
             return float("inf") if x < 0 else x
 
-        annealer = Annealer(
-            cost, FunctionMoveSet(gaussian_step), rng=random.Random(4), auto_t0=False
-        )
+        annealer = Annealer(cost, FunctionMoveSet(gaussian_step), rng=random.Random(4))
         result = annealer.run(2.0)
         assert result.best_cost < 2.0
         assert result.best_state >= 0

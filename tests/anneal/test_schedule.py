@@ -1,5 +1,7 @@
 """Tests for cooling schedules."""
 
+import math
+
 import pytest
 
 from repro.anneal import (
@@ -60,15 +62,21 @@ class TestLinearSchedule:
 
 class TestWarmup:
     def test_accepts_target_probability(self):
-        import math
-
         t0 = initial_temperature_from_samples([2.0, 2.0], acceptance=0.9)
         assert math.exp(-2.0 / t0) == pytest.approx(0.9)
 
     def test_ignores_downhill(self):
-        t_with = initial_temperature_from_samples([2.0, -5.0, 2.0])
+        # an unpackable warmup sample (cost inf) is no uphill delta: T0
+        # stays finite instead of heating the whole walk to inf
+        t_with = initial_temperature_from_samples([2.0, -5.0, 2.0, math.inf])
         t_only = initial_temperature_from_samples([2.0, 2.0])
         assert t_with == pytest.approx(t_only)
+
+    def test_sums_left_to_right(self):
+        # builtin sum() compensates rounding from Python 3.12 on; T0
+        # must follow the sequential total on every interpreter
+        t0 = initial_temperature_from_samples([0.1] * 10)
+        assert t0 == -(0.9999999999999999 / 10) / math.log(0.9)
 
     def test_all_downhill_fallback(self):
         assert initial_temperature_from_samples([-1.0, -2.0]) == 1.0

@@ -44,7 +44,7 @@ from repro.cost import (
 from repro.geometry import Module, ModuleSet, Net, PlacedModule, Placement, Rect, total_hpwl
 from repro.perf import BStarKernel, bounding_of, placement_to_coords
 from repro.seqpair.placer import PlacerConfig
-from repro.slicing import SlicingPlacer, SlicingPlacerConfig
+from repro.slicing import SlicingPlacer, SlicingPlacerConfig, shape_function_of
 from repro.slicing.polish import PolishExpression
 
 from tests.strategies import mixed_module_sets, seeded_rng
@@ -204,7 +204,9 @@ class TestSlicingModelEquivalence:
         placer = SlicingPlacer(modules, nets, config)
         legacy = _legacy_slicing_eval(modules, nets, config)
         expr = PolishExpression.random(modules.names(), rng)
-        best = placer._best_shape_of(expr)
+        best = shape_function_of(
+            expr, modules, max_shapes=config.max_shapes
+        ).min_area_shape()
         assert placer.cost(expr) == legacy(best.area, best.coords())
 
 

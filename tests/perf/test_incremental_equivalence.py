@@ -13,6 +13,7 @@ treatment.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -40,10 +41,8 @@ from repro.perf import (
     resolve_nets,
 )
 from repro.perf.coords import bounding_of, placement_to_coords
-from repro.seqpair import SequencePairPlacer
-from repro.seqpair.placer import PlacerConfig, _SeqPairEngine
+from repro.seqpair import PlacerConfig, SequencePairPlacer
 from repro.slicing import SlicingPlacer, SlicingPlacerConfig
-from repro.slicing.placer import _SlicingEngine
 from repro.workloads import resolve_workload
 
 from tests.strategies import mixed_module_sets
@@ -414,32 +413,54 @@ class TestHBIncrementalEngine:
         ).positions()
 
 
-class TestSeqPairEngine:
-    def test_matches_placer_cost_with_commit_and_rollback(self):
-        rng = random.Random(1)
-        mods = ModuleSet.of(
-            [Module.hard("a1", 4, 6), Module.hard("a2", 4, 6)]
-            + [Module.hard(f"m{i}", rng.uniform(1, 8), rng.uniform(1, 8)) for i in range(8)]
-        )
-        from repro.circuit import SymmetryGroup
+def _symmetric_design(rng: random.Random, config: PlacerConfig) -> SequencePairPlacer:
+    """Ten hard modules, one symmetric pair: every code packs."""
+    mods = ModuleSet.of(
+        [Module.hard("a1", 4, 6), Module.hard("a2", 4, 6)]
+        + [Module.hard(f"m{i}", rng.uniform(1, 8), rng.uniform(1, 8)) for i in range(8)]
+    )
+    from repro.circuit import SymmetryGroup
 
-        groups = (SymmetryGroup("g", pairs=(("a1", "a2"),)),)
-        names = mods.names()
-        nets = tuple(Net(f"n{i}", tuple(rng.sample(names, 2))) for i in range(6))
+    groups = (SymmetryGroup("g", pairs=(("a1", "a2"),)),)
+    names = mods.names()
+    nets = tuple(Net(f"n{i}", tuple(rng.sample(names, 2))) for i in range(6))
+    return SequencePairPlacer(mods, groups, nets, config)
+
+
+class TestSeqPairEngine:
+    @pytest.mark.parametrize(
+        "design, seed, steps, unpackable",
+        [
+            (_symmetric_design, 1, 30, False),
+            # the Fig. 6 op amp's symmetry groups leave some codes
+            # unpackable: commits and rollbacks of `inf` candidates
+            (
+                lambda rng, config: SequencePairPlacer.for_circuit(miller_opamp(), config),
+                0, 60, True,
+            ),
+        ],
+        ids=["symmetric-pair", "miller_opamp"],
+    )
+    def test_matches_placer_cost_with_commit_and_rollback(
+        self, design, seed, steps, unpackable
+    ):
+        rng = random.Random(seed)
         config = PlacerConfig(wirelength_weight=0.5, aspect_weight=0.1)
-        placer = SequencePairPlacer(mods, groups, nets, config)
-        engine = _SeqPairEngine(placer)
-        state = placer._moves.initial_state(rng)
+        placer = design(rng, config)
+        engine = placer.engine()
+        state = placer.initial_state(rng)
         assert engine.reset(state) == placer.cost(state)
-        accept = random.Random(2)
-        for _ in range(30):
+        accept = random.Random(seed + 1)
+        infinite = {"commit": 0, "rollback": 0}
+        for _ in range(steps):
             cost = engine.propose(rng)
             assert cost == placer.cost(engine._candidate)
-            if accept.random() < 0.5:
-                engine.commit()
-            else:
-                engine.rollback()
+            decision = "commit" if accept.random() < 0.5 else "rollback"
+            getattr(engine, decision)()
+            if math.isinf(cost):
+                infinite[decision] += 1
             assert engine._cost == placer.cost(engine.snapshot())
+        assert all(infinite.values()) == unpackable, infinite
 
     def test_run_matches_functional_annealer(self):
         """run() through the protocol equals the PR-1 functional loop."""
@@ -458,7 +479,7 @@ class TestSeqPairEngine:
         )
         run_rng = random.Random(config.seed)
         annealer = Annealer(placer.cost, placer._moves, schedule, run_rng)
-        functional = annealer.run(placer._moves.initial_state(run_rng))
+        functional = annealer.run(placer.initial_state(run_rng))
         incremental = placer.run()
         assert incremental.cost == functional.best_cost
         assert incremental.state == functional.best_state
@@ -474,7 +495,7 @@ class TestSlicingEngine:
         nets = tuple(Net(f"n{i}", tuple(rng.sample(names, 2))) for i in range(5))
         config = SlicingPlacerConfig(wirelength_weight=0.4)
         placer = SlicingPlacer(mods, nets, config)
-        engine = _SlicingEngine(placer)
+        engine = placer.engine()
         from repro.slicing.polish import PolishExpression
 
         expr = PolishExpression.random(mods.names(), rng)
@@ -509,7 +530,7 @@ class TestSlicingEngine:
         functional = annealer.run(PolishExpression.random(mods.names(), run_rng))
         incremental = placer.run()
         assert incremental.cost == functional.best_cost
-        assert incremental.expression == functional.best_state
+        assert incremental.state == functional.best_state
 
 
 class TestIncrementalAnnealer:

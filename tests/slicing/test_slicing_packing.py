@@ -92,7 +92,7 @@ class TestSlicingPlacer:
             mods, config=SlicingPlacerConfig(seed=1, alpha=0.88, steps_per_epoch=25)
         ).run()
         assert result.placement.is_overlap_free()
-        assert result.expression.is_normalized()
+        assert result.state.is_normalized()
         assert result.placement.area_usage() < 2.0
 
     def test_deterministic(self):

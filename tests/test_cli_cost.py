@@ -6,9 +6,16 @@ error paths (unknown terms, non-numeric weights, terms an engine does
 not declare) — all exiting with usable messages, never tracebacks.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import _parse_cost_weights, main
+from repro.cli import _ENGINES, _parse_cost_weights, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def exit_code(excinfo) -> int:
@@ -93,17 +100,28 @@ class TestSingleRun:
         assert "does not anneal a weighted cost" in str(excinfo.value)
 
 
-class TestRegistryConsistency:
-    def test_weighted_configs_match_parallel_registry(self):
-        """cli._WEIGHTED_CONFIGS duplicates the parallel registry's
-        config classes (single runs must not import repro.parallel);
-        this pins the two against each other so they cannot drift."""
-        from repro.cli import _WEIGHTED_CONFIGS
-        from repro.parallel.engines import ENGINE_NAMES, build_config
-
-        assert set(_WEIGHTED_CONFIGS) == set(ENGINE_NAMES)
-        for engine, config_cls in _WEIGHTED_CONFIGS.items():
-            assert type(build_config(engine, 0, ())) is config_cls
+class TestRegistryLocation:
+    @pytest.mark.parametrize("engine", _ENGINES)
+    def test_single_run_never_imports_parallel(self, engine):
+        """The engine registry lives in ``repro.placers``, outside
+        ``repro.parallel``, so a single-run command never pays for (or
+        depends on) the portfolio machinery.  A fresh interpreter per
+        engine: this process has long since imported the portfolio."""
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            f"main(['place', 'fig2', '--engine', {engine!r}])\n"
+            "print('parallel imported:', 'repro.parallel' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.stderr == "", proc.stderr
+        assert proc.stdout.splitlines()[-1] == "parallel imported: False"
 
 
 class TestPortfolioPath:

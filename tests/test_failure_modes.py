@@ -87,7 +87,6 @@ class TestAnnealerBoundaries:
             FunctionMoveSet(lambda x, rng: x + rng.choice((-1, 1))),
             GeometricSchedule(t_final=0.01, steps_per_epoch=10),
             random.Random(0),
-            auto_t0=False,
         )
         result = annealer.run(3)
         assert math.isfinite(result.best_cost)

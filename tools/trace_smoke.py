@@ -10,7 +10,11 @@ An end-to-end drill for the flight recorder
 3. every ``anneal.chunk`` of a ``bstar`` or ``hbtree`` walk carries a
    per-term cost breakdown and a non-empty move-family table — per
    engine, so one engine's telemetry cannot cover for another's;
-4. ``repro trace report --json`` renders the trace through the real
+4. every ``anneal.sample`` and ``anneal.chunk`` temperature is finite:
+   a walk whose warmup sampled an unpackable state once ran at
+   ``T = inf`` from start to finish (the portfolio's ``seqpair`` walks
+   on this circuit), accepting every finite uphill move;
+5. ``repro trace report --json`` renders the trace through the real
    CLI entrypoint, and the report is schema-asserted: acceptance
    curves, move-family tables for both B*-tree engines and per-walk
    steps present for every walk, the reported final cost equal to the
@@ -23,6 +27,7 @@ CI step timeout) is a telemetry regression.  A real file — not a
 """
 
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -96,6 +101,12 @@ def main() -> int:
                     f"{engine} chunk without move families: {fields}"
                 )
         assert all(chunks.values()), f"no anneal.chunk events for: {chunks}"
+        for name in ("anneal.sample", "anneal.chunk"):
+            hot = [
+                event["fields"] for event in trace.named(name)
+                if not math.isfinite(event["fields"]["temperature"])
+            ]
+            assert not hot, f"{len(hot)} {name} events never cooled: {hot[0]}"
 
         report = render_report(trace_dir)
         assert report["schema"] == REPORT_SCHEMA, report["schema"]
