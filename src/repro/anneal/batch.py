@@ -61,6 +61,11 @@ class BatchEngine(Protocol):
         """Discard the whole batch; committed state is unchanged."""
         ...
 
+    def snapshot(self) -> object:
+        """An immutable copy of the committed state, which only
+        :meth:`accept` changes (candidates are packed off-state)."""
+        ...
+
 
 class BatchedAnnealer(IncrementalAnnealer):
     """Anneal a :class:`BatchEngine` K candidates at a time.
@@ -70,6 +75,12 @@ class BatchedAnnealer(IncrementalAnnealer):
     format, warmup runs through the engine's scalar protocol), but the
     annealing loop is tiled: one ``propose_batch`` call per tile, one
     vectorized scoring pass, first-acceptance-wins.
+
+    The best state is copied lazily.  After an improving accept it *is*
+    the engine's committed state, which stays untouched until the next
+    accept, so :meth:`BatchEngine.snapshot` runs only just before a
+    non-improving accept leaves it, and a chunk that ends on it takes
+    one snapshot for both the current and the best state.
     """
 
     def __init__(
@@ -118,6 +129,7 @@ class BatchedAnnealer(IncrementalAnnealer):
 
         current_cost = checkpoint.current_cost
         best, best_cost = checkpoint.best_state, checkpoint.best_cost
+        best_is_current = False
         stats = replace(checkpoint.stats)
 
         propose_batch = engine.propose_batch
@@ -167,12 +179,16 @@ class BatchedAnnealer(IncrementalAnnealer):
                     consumed = j + 1
                     break
             if accepted_at >= 0:
-                accept(accepted_at)
                 current_cost = costs[accepted_at]
-                stats.accepted += 1
-                if current_cost < best_cost:
-                    best_cost = current_cost
+                improved = current_cost < best_cost
+                if best_is_current and not improved:
                     best = engine.snapshot()
+                    best_is_current = False
+                accept(accepted_at)
+                stats.accepted += 1
+                if improved:
+                    best_cost = current_cost
+                    best_is_current = True
                     stats.improved += 1
             else:
                 reject_all()
@@ -211,13 +227,14 @@ class BatchedAnnealer(IncrementalAnnealer):
                 start, step, temperature, current_cost, best_cost, stats,
                 fam_proposed, fam_accepted, repack_hist,
             )
+        state = engine.snapshot()
         return WalkCheckpoint(
             step=step,
             total_steps=total,
             t_scale=t_scale,
-            state=engine.snapshot(),
+            state=state,
             current_cost=current_cost,
-            best_state=best,
+            best_state=state if best_is_current else best,
             best_cost=best_cost,
             rng_state=rng.getstate(),
             stats=stats,

@@ -5,18 +5,20 @@ step *proportional to what the move changed*.  A B*-tree packs in
 pre-order, and a node's placement depends only on the nodes packed
 before it — so a perturbation that touches nodes at pre-order positions
 ``>= k`` leaves the coordinate prefix ``[0, k)`` bit-identical.
-:class:`IncrementalBStarEngine` exploits that three ways:
+:class:`IncrementalBStarEngine` exploits that three ways, all through
+the kernel's one packing loop, :func:`~repro.perf.kernel.pack_suffix`:
 
 * **skyline checkpoints** — the packing skyline is snapshotted every
-  ``stride`` pre-order positions; a repack restores the checkpoint at
-  ``k // stride`` and replays at most ``stride - 1`` cached rectangles
-  instead of re-raising the whole prefix;
+  ``stride`` pre-order positions (:func:`~repro.perf.kernel.
+  default_stride` of the module count unless given); a repack restores
+  the checkpoint at ``k // stride`` and replays at most ``stride - 1``
+  cached rectangles instead of re-raising the whole prefix;
 * **O(depth) traversal resume** — the DFS stack at position ``k`` is
   reconstructed from the perturbed tree's parent pointers and the
   cached prefix coordinates (the pending right-siblings along the path
   to ``k``'s predecessor), so the prefix is never re-walked;
 * **delta wirelength** — modules whose rectangle actually changed are
-  collected during the repack and handed to the
+  collected from the repacked suffix and handed to the
   :class:`~repro.cost.CostEvaluator`, whose
   :class:`~repro.cost.DeltaHPWL` recomputes only their incident nets.
 
@@ -35,13 +37,12 @@ re-evaluation, used to lock that equivalence over whole annealing runs.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from typing import TYPE_CHECKING
 
 from ..circuit import ProximityGroup
 from ..geometry import ModuleSet, Net, Orientation
 from .coords import Coords
-from .kernel import BStarKernel, Skyline
+from .kernel import BStarKernel, Skyline, default_stride, pack_suffix
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..bstar.perturb import BStarState
@@ -87,7 +88,7 @@ class IncrementalBStarEngine:
         config=None,
         *,
         allow_rotation: bool = True,
-        stride: int = 8,
+        stride: int | None = None,
     ) -> None:
         if config is None:
             raise ValueError("IncrementalBStarEngine requires a cost config")
@@ -100,7 +101,7 @@ class IncrementalBStarEngine:
         self._kernel = BStarKernel(modules, nets, proximity, config)
         self._eval = self._kernel.model.evaluator()
         self._footprints = self._kernel._footprints
-        self._stride = max(1, stride)
+        self._stride = max(1, stride or default_stride(len(modules)))
         self._sky = Skyline()
 
         # current state (mutable, owned by the engine)
@@ -115,7 +116,7 @@ class IncrementalBStarEngine:
         self._cost = _INF
 
         # pending-proposal undo state.  `order`/`pos` describe the
-        # *committed* state only: a proposal records the repacked
+        # *committed* state only: a proposal keeps the repacked
         # pre-order in `_new_suffix` and commit splices it in, so
         # rejected moves never touch (and never have to restore) them.
         self._pending = False
@@ -147,12 +148,10 @@ class IncrementalBStarEngine:
         self._pos = {}
         self._coords = {}
         n_slots = ((n - 1) // self._stride + 1) if n else 1
-        self._ckpts = [([0.0], [0.0]) for _ in range(n_slots)]
-        self._pending = True  # satisfy the repack's logging paths
+        self._ckpts = [Skyline().snapshot()] * n_slots
         self._repack_suffix(0)
         self._order[:] = self._new_suffix
-        for idx, name in enumerate(self._order):
-            self._pos[name] = idx
+        self._pos.update(zip(self._order, range(n)))
         self._cost = self._eval.reset(self._coords, bounding=self._sky_bounding())
         self._clear_pending()
         return self._cost
@@ -195,14 +194,7 @@ class IncrementalBStarEngine:
         self._pending_kind = "repack"
         k = self._moves.dirty_index(rec, self._pos)
         self.last_repack_len = len(self._order) - k
-        # only "move" (and the sibling-swap corner, which exchanges
-        # subtrees rather than slots) reshuffles the pre-order suffix
-        # unpredictably; a plain swap exchanges exactly two slots and
-        # rotate/reshape none, so the suffix name list is collected only
-        # when commit will need it
-        self._repack_suffix(
-            k, collect_order=kind == "move" or rec.sibling_swap
-        )
+        self._repack_suffix(k)
         self._pending_cost = self._eval.propose(
             self._coords, self._moved, self._sky_bounding()
         )
@@ -213,12 +205,14 @@ class IncrementalBStarEngine:
         the committed-state pre-order book-keeping is updated)."""
         if self._pending_kind == "repack":
             kind = self._rec.kind
+            # only "move" (and the sibling-swap corner, which exchanges
+            # subtrees rather than slots) reshuffles the pre-order
+            # suffix unpredictably
             if kind == "move" or self._rec.sibling_swap:
                 k = self._dirty_k
-                self._order[k:] = self._new_suffix
-                pos = self._pos
-                for idx, name in enumerate(self._new_suffix, k):
-                    pos[name] = idx
+                suffix = self._new_suffix
+                self._order[k:] = suffix
+                self._pos.update(zip(suffix, range(k, k + len(suffix))))
             elif kind == "swap":
                 # a swap exchanges exactly two pre-order slots; every
                 # other node (including both subtrees, which moved
@@ -243,9 +237,8 @@ class IncrementalBStarEngine:
             if self._size_undo is not None:
                 name, wh = self._size_undo
                 self._sizes[name] = wh
-            coords = self._coords
-            for name, old in reversed(self._coord_log):
-                coords[name] = old
+            # a suffix lists each name once, so restore order is free
+            self._coords.update(self._coord_log)
             ckpts = self._ckpts
             for slot, snap in self._ckpt_log:
                 ckpts[slot] = snap
@@ -291,155 +284,43 @@ class IncrementalBStarEngine:
         sky = self._sky
         return (0.0, 0.0, sky.rightmost_edge(), sky.max_height())
 
-    def _repack_suffix(self, k: int, collect_order: bool = True) -> None:
+    def _repack_suffix(self, k: int) -> None:
         """Repack pre-order positions ``>= k`` (undo-logged).
 
-        Writes candidate coordinates (with per-entry undo), refreshes
-        skyline checkpoints past ``k`` (old snapshots logged), collects
-        moved modules for the HPWL delta and — when ``collect_order`` is
-        set — records the new pre-order tail in ``_new_suffix`` for
-        commit to splice in.
+        Runs the kernel's :func:`~repro.perf.kernel.pack_suffix`, then
+        writes the rectangles that changed into the coordinate table
+        (per-entry undo, collected as moved for the HPWL delta) and
+        installs the refreshed skyline checkpoints (old snapshots
+        logged).  The packed table's keys are the new pre-order tail,
+        kept for commit to splice in; the table itself (with every
+        unchanged rectangle's fresh duplicate) is dropped here.
         """
         self._dirty_k = k
-        stride = self._stride
-        order = self._order
         coords = self._coords
-        sizes = self._sizes
-        sky = self._sky
-        c = k // stride
         ckpts = self._ckpts
-        sky.restore(ckpts[c])
-        # The skyline splice is inlined below (this is the hottest loop
-        # in the library); the logic is Skyline.raise_over verbatim.
-        starts = sky._starts
-        heights = sky._heights
-        bis_r = bisect_right
-        # replay the cached tail of the prefix (unchanged rectangles)
-        for idx in range(c * stride, k):
-            x, _y0, x1, y1 = coords[order[idx]]
-            i = bis_r(starts, x) - 1
-            j = i + 1
-            n_segs = len(starts)
-            while j < n_segs and starts[j] < x1:
-                j += 1
-            tail = heights[j - 1]
-            if starts[i] < x:
-                new_s = [starts[i], x]
-                new_h = [heights[i], y1]
-            else:
-                new_s = [x]
-                new_h = [y1]
-            end = starts[j] if j < len(starts) else _INF
-            if x1 < end:
-                new_s.append(x1)
-                new_h.append(tail)
-            starts[i:j] = new_s
-            heights[i:j] = new_h
+        packed, snaps = pack_suffix(
+            self._tree, self._sizes, self._sky, k,
+            self._order, coords, ckpts, self._stride,
+        )
+        assert len(packed) == len(self._order) - k, (
+            "suffix repack lost nodes (tree corrupted?)"
+        )
+        self._new_suffix = list(packed)
         coord_log: list = []
         self._coord_log = coord_log
-        ckpt_log: list = []
-        self._ckpt_log = ckpt_log
-        new_suffix: list[str] = []
-        self._new_suffix = new_suffix
-        push_suffix = new_suffix.append if collect_order else None
         moved = self._moved
         moved.clear()
         push_moved = moved.append
-        stack = self._stack_at(k)
-        push_stack = stack.append
-        pop_stack = stack.pop
-        tree = self._tree
-        tree_left, tree_right = tree.left, tree.right
         coords_get = coords.get
-        next_ckpt = (c + 1) * stride
-        idx = k
-        while stack:
-            if idx == next_ckpt:
-                slot = idx // stride
-                ckpt_log.append((slot, ckpts[slot]))
-                ckpts[slot] = (starts.copy(), heights.copy())
-                next_ckpt += stride
-            name, x = pop_stack()
-            w, h = sizes[name]
-            x1 = x + w
-            # fused query-and-raise over (x, x1); a module spans only a
-            # couple of segments, so the end scans linearly
-            i = bis_r(starts, x) - 1
-            j = i + 1
-            n_segs = len(starts)
-            while j < n_segs and starts[j] < x1:
-                j += 1
-            if j - i == 1:
-                y = heights[i]
-            else:
-                y = max(heights[i:j])
-            top = y + h
-            tail = heights[j - 1]
-            if starts[i] < x:
-                new_s = [starts[i], x]
-                new_h = [heights[i], top]
-            else:
-                new_s = [x]
-                new_h = [top]
-            end = starts[j] if j < len(starts) else _INF
-            if x1 < end:
-                new_s.append(x1)
-                new_h.append(tail)
-            starts[i:j] = new_s
-            heights[i:j] = new_h
-            entry = (x, y, x1, top)
+        for name, quad in packed.items():
             old = coords_get(name)
-            if entry != old:
+            if quad != old:
                 coord_log.append((name, old))
-                coords[name] = entry
+                coords[name] = quad
                 push_moved(name)
-            if push_suffix is not None:
-                push_suffix(name)
-            idx += 1
-            right = tree_right[name]
-            if right is not None:
-                push_stack((right, x))
-            left = tree_left[name]
-            if left is not None:
-                push_stack((left, x1))
-        assert idx == len(order), "suffix repack lost nodes (tree corrupted?)"
-
-    def _stack_at(self, k: int) -> list[tuple[str, float]]:
-        """The packing DFS stack just before pre-order position ``k``.
-
-        Rebuilt in O(depth) from the perturbed tree: walking up from the
-        prefix's last node ``u = order[k-1]``, every ancestor left-edge
-        with a pending right child contributes one stack entry (at the
-        ancestor's cached x), topped by ``u``'s own pending children.
-        All nodes consulted live in the unchanged prefix, so their
-        cached coordinates are valid.
-        """
-        tree = self._tree
-        if k == 0:
-            root = tree.root
-            return [] if root is None else [(root, 0.0)]
-        coords = self._coords
-        left, right, parent = tree.left, tree.right, tree.parent
-        u = self._order[k - 1]
-        pending: list[tuple[str, float]] = []  # nearest-ancestor first
-        child = u
-        node = parent[u]
-        while node is not None:
-            if left[node] == child:
-                r = right[node]
-                if r is not None:
-                    pending.append((r, coords[node][0]))
-            child = node
-            node = parent[node]
-        pending.reverse()
-        cu = coords[u]
-        r = right[u]
-        if r is not None:
-            pending.append((r, cu[0]))
-        l = left[u]
-        if l is not None:
-            pending.append((l, cu[2]))
-        return pending
+        self._ckpt_log = [(slot, ckpts[slot]) for slot, _ in snaps]
+        for slot, snap in snaps:
+            ckpts[slot] = snap
 
 
 class FullRepackBStarEngine:

@@ -9,9 +9,12 @@ The kernel packs a :class:`~repro.bstar.BStarTree` straight into a
 * the traversal is iterative (explicit stack) — degenerate chain trees
   of any depth pack without recursion;
 * the skyline is a reusable parallel-list structure with an O(1) reset
-  and snapshot/restore for the incremental engine's checkpoints, so one
+  and snapshot/restore for the suffix packers' checkpoints, so one
   kernel instance serves an entire annealing run with no per-step
-  allocation beyond the output dict.
+  allocation beyond the output dict;
+* :func:`pack_suffix` is the one packing loop: full packs
+  (:func:`pack_tree_coords`), the incremental engine's dirty-suffix
+  repack and the vector engine's candidate pack all run it.
 
 Coordinates are bit-identical to ``repro.bstar.packing.pack`` — same
 traversal order, same ``x + w`` / ``y + h`` arithmetic, same exact
@@ -21,7 +24,8 @@ min/max skyline queries (verified in ``tests/perf/``).
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Mapping
+from math import isqrt
+from typing import Mapping, Sequence
 
 from ..circuit import ProximityGroup
 from ..geometry import ModuleSet, Net, Orientation, Placement
@@ -37,24 +41,24 @@ class Skyline:
     """Contour over x >= 0 as parallel ``starts`` / ``heights`` lists.
 
     Functional twin of :class:`repro.bstar.Contour`, tuned for the hot
-    loop.  Segment ``i`` spans ``[starts[i], starts[i+1])`` (the last
-    one runs to infinity) at height ``heights[i]``; starts are strictly
-    increasing, so the query side of :meth:`raise_over` is a C-level
-    ``bisect`` (linear for short profiles) plus a slice ``max``, and the
-    update side is two list splices.  Heights come out of the very same
-    ``max`` / ``y + h`` float operations as the object tier, so packings
-    agree bit for bit (see ``tests/perf/``).
+    loop.  Segment ``i`` spans ``[starts[i], starts[i+1])`` at height
+    ``heights[i]``; starts are strictly increasing and end in one
+    ``inf`` sentinel (``len(starts) == len(heights) + 1``), so the query
+    is a C-level ``bisect`` plus a scan to the right edge that needs no
+    bounds check.  Heights come out of the very same ``max`` /
+    ``y + h`` float operations as the object tier, so packings agree
+    bit for bit (see ``tests/perf/``).
     """
 
     __slots__ = ("_starts", "_heights")
 
     def __init__(self) -> None:
-        self._starts: list[float] = [0.0]
+        self._starts: list[float] = [0.0, _INF]
         self._heights: list[float] = [0.0]
 
     def reset(self) -> None:
         """Return to the flat initial skyline."""
-        self._starts[:] = (0.0,)
+        self._starts[:] = (0.0, _INF)
         self._heights[:] = (0.0,)
 
     def snapshot(self) -> SkylineSnapshot:
@@ -92,43 +96,225 @@ class Skyline:
 
     def raise_over(self, x0: float, x1: float, h: float) -> float:
         """Fused query-and-place: return the height over (x0, x1) and
-        raise the skyline to ``height + h`` there (the packing inner
-        loop calls only this)."""
+        raise the skyline to ``height + h`` there.
+
+        Exact for any ``x0``, including one strictly inside a segment;
+        :func:`pack_suffix` inlines a B*-tree-specialized splice and is
+        tested against this method and :class:`repro.bstar.Contour`.
+        """
+        starts = self._starts
+        # segment containing x0: last start <= x0 (starts[0] == 0.0 <= x0)
+        i = bisect_right(starts, x0) - 1
+        # segments covering any of (x0, x1): starts strictly below x1
+        j = i + 1
+        while starts[j] < x1:
+            j += 1
+        best = max(self._heights[i:j])
+        self.place(x0, x1, best + h)
+        return best
+
+    def place(self, x0: float, x1: float, top: float) -> None:
+        """Raise the skyline over ``[x0, x1)`` to exactly ``top`` (the
+        twin of :meth:`repro.bstar.Contour.place`, exact for any x0)."""
         starts = self._starts
         heights = self._heights
-        n = len(starts)
-        # segment containing x0: last start <= x0 (starts[0] == 0.0 <= x0).
-        # Short profiles (every fresh pack starts with one) scan faster
-        # than they bisect.
-        if n < 16:
-            i = 0
-            while i + 1 < n and starts[i + 1] <= x0:
-                i += 1
-        else:
-            i = bisect_right(starts, x0) - 1
-        # segments covering any of (x0, x1): starts strictly below x1 —
-        # a module usually spans only a couple of segments, so scan.
+        i = bisect_right(starts, x0) - 1
         j = i + 1
-        while j < n and starts[j] < x1:
+        while starts[j] < x1:
             j += 1
-        if j - i == 1:
-            best = heights[i]
-        else:
-            best = max(heights[i:j])
         tail = heights[j - 1]
         if starts[i] < x0:
-            new_starts = [starts[i], x0]
-            new_heights = [heights[i], best + h]
+            # segment i keeps its part left of x0
+            i += 1
+        if x1 < starts[j]:
+            starts[i:j] = (x0, x1)
+            heights[i:j] = (top, tail)
         else:
-            new_starts = [x0]
-            new_heights = [best + h]
-        end = starts[j] if j < len(starts) else _INF
-        if x1 < end:
-            new_starts.append(x1)
-            new_heights.append(tail)
-        starts[i:j] = new_starts
-        heights[i:j] = new_heights
-        return best
+            starts[i:j] = (x0,)
+            heights[i:j] = (top,)
+
+
+def default_stride(n: int) -> int:
+    """Checkpoint stride for an ``n``-module suffix packer.
+
+    A repack restores one checkpoint and replays at most ``stride - 1``
+    cached rectangles, while a move re-snapshots the skyline once per
+    ``stride`` repacked slots; ``isqrt(n)`` balances the two as the
+    design grows (floored at 8 for small designs).
+    """
+    return max(8, isqrt(n))
+
+
+def _stack_at(
+    tree, order: Sequence[str], coords: Coords, k: int
+) -> list[tuple[str, float, int]]:
+    """The packing DFS stack just before pre-order position ``k``.
+
+    Entries are ``(name, x, segment)``, where ``segment`` is the skyline
+    index of the boundary at ``x``, or -1 when the packer must search
+    for it.  Rebuilt in O(depth) from ``tree`` (possibly perturbed):
+    walking up from the prefix's last node ``u = order[k-1]``, every
+    ancestor left-edge with a pending right child contributes one stack
+    entry (at the ancestor's cached x), topped by ``u``'s own pending
+    children.  All nodes consulted live in the unchanged prefix
+    ``order[:k]``, so their cached ``coords`` are valid.
+    """
+    if k == 0:
+        root = tree.root
+        return [] if root is None else [(root, 0.0, 0)]
+    left, right, parent = tree.left, tree.right, tree.parent
+    u = order[k - 1]
+    pending: list[tuple[str, float, int]] = []  # nearest-ancestor first
+    child = u
+    node = parent[u]
+    while node is not None:
+        if left[node] == child:
+            r = right[node]
+            if r is not None:
+                pending.append((r, coords[node][0], -1))
+        child = node
+        node = parent[node]
+    pending.reverse()
+    cu = coords[u]
+    r = right[u]
+    if r is not None:
+        pending.append((r, cu[0], -1))
+    l = left[u]
+    if l is not None:
+        pending.append((l, cu[2], -1))
+    return pending
+
+
+def pack_suffix(
+    tree,
+    sizes: Mapping[str, tuple[float, float]],
+    skyline: Skyline,
+    k: int = 0,
+    order: Sequence[str] = (),
+    coords: Coords | None = None,
+    ckpts: Sequence[SkylineSnapshot] = (),
+    stride: int = 1,
+) -> tuple[Coords, list[tuple[int, SkylineSnapshot]]]:
+    """Pack pre-order positions ``>= k`` of ``tree``: the one B*-tree
+    packing loop.
+
+    ``order`` / ``coords`` / ``ckpts`` describe a packing of the same
+    prefix ``order[:k]`` (the caller's committed state): the skyline is
+    restored from the checkpoint at ``k // stride``, the cached prefix
+    tail is replayed onto it, the DFS stack at ``k`` is rebuilt
+    (:func:`_stack_at`), and the suffix is packed.  With no ``ckpts`` the
+    pack starts from a flat skyline (``k`` must then be 0).
+
+    Returns ``(packed, snaps)``: the suffix's ``name -> (x0, y0, x1,
+    y1)`` table in its new pre-order, and ``(slot, snapshot)`` for every
+    checkpoint slot the suffix passed (the skyline just before position
+    ``slot * stride``).  Inputs are never written, except the scratch
+    ``skyline``, which ends as the full packing's profile.
+
+    Every module of a B*-tree packing starts on a skyline boundary: its
+    x is its parent's x or x1, and nothing packed in between removes
+    that boundary.  So the splice writes only what changed: a module
+    over one segment rewrites one height and inserts its right edge,
+    one over two segments moves one boundary, and only wider spans
+    resize by slice.  Nor does the loop search the skyline for a
+    module's segment: a left child packs right after its parent, at the
+    boundary that follows the parent's segment, and a right child packs
+    after its parent's left subtree, which splices only to the right of
+    the parent's segment, so the parent's index still holds.  Only the
+    O(depth) entries of a resumed stack are searched (``bisect``).
+    Heights come out of the same ``max`` / ``y + h`` float operations
+    as the object tier (:class:`repro.bstar.Contour`), so packings
+    agree bit for bit.
+    """
+    starts = skyline._starts
+    heights = skyline._heights
+    next_ckpt = -1
+    if ckpts:
+        c = k // stride
+        skyline.restore(ckpts[c])
+        # replay the cached tail of the prefix (unchanged rectangles)
+        place = skyline.place
+        for idx in range(c * stride, k):
+            x, _y0, x1, top = coords[order[idx]]
+            place(x, x1, top)
+        next_ckpt = (c + 1) * stride
+    else:
+        skyline.reset()
+    packed: Coords = {}
+    snaps: list[tuple[int, SkylineSnapshot]] = []
+    stack = _stack_at(tree, order, coords, k)
+    push = stack.append
+    pop = stack.pop
+    tree_left, tree_right = tree.left, tree.right
+    idx = k
+    while stack:
+        name, x, i = pop()
+        if i < 0:
+            # a resumed entry: search for its boundary
+            i = bisect_right(starts, x) - 1
+            if starts[i] != x:
+                # x inside segment i (never in a B*-tree packing): split
+                # the segment there, which leaves the profile unchanged
+                i += 1
+                starts.insert(i, x)
+                heights.insert(i, heights[i - 1])
+        while True:
+            if idx == next_ckpt:
+                snaps.append((idx // stride, (starts.copy(), heights.copy())))
+                next_ckpt += stride
+            w, h = sizes[name]
+            x1 = x + w
+            end = starts[i + 1]
+            if x1 <= end:
+                # one segment: raise it, keeping its tail past x1
+                y = heights[i]
+                top = y + h
+                heights[i] = top
+                if x1 < end:
+                    starts.insert(i + 1, x1)
+                    heights.insert(i + 1, y)
+            elif x1 <= (end := starts[i + 2]):
+                # two segments: the boundary between them moves to x1
+                y = heights[i]
+                tail = heights[i + 1]
+                if tail > y:
+                    y = tail
+                top = y + h
+                heights[i] = top
+                if x1 < end:
+                    starts[i + 1] = x1
+                else:
+                    del starts[i + 1]
+                    del heights[i + 1]
+            else:
+                j = i + 3
+                while starts[j] < x1:
+                    j += 1
+                y = max(heights[i:j])
+                top = y + h
+                if x1 < starts[j]:
+                    starts[i + 1:j] = (x1,)
+                    heights[i:j] = (top, heights[j - 1])
+                else:
+                    del starts[i + 1:j]
+                    heights[i:j] = (top,)
+            packed[name] = (x, y, x1, top)
+            idx += 1
+            right = tree_right[name]
+            if right is not None:
+                # it packs after this node's left subtree, which lies at
+                # x >= x1 and so splices only past segment i: the
+                # boundary at x keeps index i until then
+                push((right, x, i))
+            name = tree_left[name]
+            if name is None:
+                break
+            # the left child packs next, at x1: the boundary the splice
+            # just left right after segment i, so no search is needed
+            x = x1
+            i += 1
+    return packed, snaps
+
 
 def pack_tree_coords(
     tree,
@@ -139,65 +325,11 @@ def pack_tree_coords(
 
     Flat twin of :func:`repro.bstar.packing.pack_sizes`: identical
     traversal order (pre-order, left subtree before right) and identical
-    arithmetic, returning 4-tuples instead of :class:`Rect` objects.
-    Pass a ``skyline`` to reuse its storage across calls.
+    arithmetic, returning 4-tuples instead of :class:`Rect` objects —
+    :func:`pack_suffix` run from position 0 with no checkpoints.  Pass a
+    ``skyline`` to reuse its storage across calls.
     """
-    out: Coords = {}
-    root = tree.root
-    if root is None:
-        return out
-    if skyline is None:
-        skyline = Skyline()
-    else:
-        skyline.reset()
-    tree_left, tree_right = tree.left, tree.right
-    # Skyline.raise_over inlined (this loop and the incremental
-    # engine's suffix repack are the two hottest paths in the library).
-    starts = skyline._starts
-    heights = skyline._heights
-    bis_r = bisect_right
-    stack: list[tuple[str, float]] = [(root, 0.0)]
-    push = stack.append
-    pop = stack.pop
-    while stack:
-        name, x = pop()
-        w, h = sizes[name]
-        x1 = x + w
-        n = len(starts)
-        if n < 16:
-            i = 0
-            while i + 1 < n and starts[i + 1] <= x:
-                i += 1
-        else:
-            i = bis_r(starts, x) - 1
-        j = i + 1
-        while j < n and starts[j] < x1:
-            j += 1
-        if j - i == 1:
-            y = heights[i]
-        else:
-            y = max(heights[i:j])
-        top = y + h
-        tail = heights[j - 1]
-        if starts[i] < x:
-            new_s = [starts[i], x]
-            new_h = [heights[i], top]
-        else:
-            new_s = [x]
-            new_h = [top]
-        if x1 < (starts[j] if j < n else _INF):
-            new_s.append(x1)
-            new_h.append(tail)
-        starts[i:j] = new_s
-        heights[i:j] = new_h
-        out[name] = (x, y, x1, top)
-        right = tree_right[name]
-        if right is not None:
-            push((right, x))
-        left = tree_left[name]
-        if left is not None:
-            push((left, x1))
-    return out
+    return pack_suffix(tree, sizes, skyline or Skyline())[0]
 
 
 class BStarKernel:

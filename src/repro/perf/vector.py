@@ -30,11 +30,12 @@ Three pieces
 :class:`VectorBStarEngine`
     A batched B*-tree engine: ``propose_batch(rng, k)`` draws K
     candidate moves from the *same committed state*, packs each one's
-    dirty suffix through a lean no-undo loop — keeping the packed
-    ``(x0, y0, x1, y1)`` tuples plus the center arrays built from them
-    — undoes the tree mutation, and scores all K in one vectorized
-    pass.  ``accept(j)`` replays candidate ``j``'s recorded choices
-    deterministically (via the ``*_named`` helpers of
+    dirty suffix through the kernel's one packing loop
+    (:func:`~repro.perf.kernel.pack_suffix`, no undo logging) — keeping
+    the packed ``(x0, y0, x1, y1)`` tuples plus the center arrays built
+    from them — undoes the tree mutation, and scores all K in one
+    vectorized pass.  ``accept(j)`` replays candidate ``j``'s recorded
+    choices deterministically (via the ``*_named`` helpers of
     :class:`~repro.bstar.perturb.InPlaceBStarMoves`) and splices its
     tuples and center arrays into the committed state, with no
     conversion back from numpy; ``reject_all`` is O(1).  Moves are
@@ -64,7 +65,7 @@ placement *quality* (the sweep matrix), not trajectories.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from itertools import chain
 from typing import TYPE_CHECKING, Sequence
 
 try:  # keep repro.perf importable without numpy (scalar tiers don't need it)
@@ -82,7 +83,7 @@ from ..cost.terms import (
     ProximityTerm,
 )
 from ..geometry import ModuleSet, Net, Orientation
-from .kernel import BStarKernel, Skyline
+from .kernel import BStarKernel, Skyline, default_stride, pack_suffix
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..bstar.perturb import BStarState
@@ -212,7 +213,7 @@ class _Candidate:
     """One proposed move: its recorded choices, packed suffix and cost."""
 
     __slots__ = (
-        "kind", "replay", "k", "names", "quads", "rows_np", "cx", "cy",
+        "kind", "replay", "k", "packed", "rows_np", "cx", "cy",
         "snaps", "bounding", "cost",
     )
 
@@ -220,10 +221,9 @@ class _Candidate:
         self.kind = kind
         self.replay = replay
         self.k = 0
-        self.names: list[str] = []
-        #: the packed suffix's ``(x0, y0, x1, y1)`` tuples, row for row
-        #: with ``names`` (installed as-is on accept: no array round trip)
-        self.quads: list[tuple[float, float, float, float]] = []
+        #: the packed suffix, ``name -> (x0, y0, x1, y1)`` in its new
+        #: pre-order (installed as-is on accept: no array round trip)
+        self.packed: dict[str, tuple[float, float, float, float]] = {}
         self.rows_np = None
         self.cx = None
         self.cy = None
@@ -272,7 +272,7 @@ class VectorBStarEngine:
         config=None,
         *,
         allow_rotation: bool = True,
-        stride: int = 8,
+        stride: int | None = None,
         evaluator: str = "vector",
     ) -> None:
         if config is None:
@@ -293,7 +293,7 @@ class VectorBStarEngine:
         self._row = {name: i for i, name in enumerate(self._names)}
         self._n = len(self._names)
         self._footprints = self._kernel._footprints
-        self._stride = max(1, stride)
+        self._stride = max(1, stride or default_stride(self._n))
         self._window_min = max(2, int(getattr(config, "vector_window_min", 8)))
         self._sky = Skyline()
         self._scalar_eval = evaluator == "scalar"
@@ -347,7 +347,7 @@ class VectorBStarEngine:
         )
         n = self._n
         n_slots = ((n - 1) // self._stride + 1) if n else 1
-        self._ckpts = [([0.0], [0.0]) for _ in range(n_slots)]
+        self._ckpts = [Skyline().snapshot()] * n_slots
         self._order = [""] * n
         self._coords = {}
         self._pos = {}
@@ -507,7 +507,7 @@ class VectorBStarEngine:
             out = []
             for cand in live:
                 coords = dict(self._coords)
-                coords.update(zip(cand.names, cand.quads))
+                coords.update(cand.packed)
                 out.append(evaluate(coords, bounding=cand.bounding))
             return out
         k = len(live)
@@ -529,10 +529,10 @@ class VectorBStarEngine:
     def _install(self, cand: _Candidate) -> None:
         """Splice an accepted candidate's suffix into the committed state."""
         k = cand.k
-        names = cand.names
-        self._order[k:] = names
-        self._pos.update(zip(names, range(k, k + len(names))))
-        self._coords.update(zip(names, cand.quads))
+        packed = cand.packed
+        self._order[k:] = packed
+        self._pos.update(zip(packed, range(k, k + len(packed))))
+        self._coords.update(packed)
         if cand.rows_np is not None and cand.rows_np.size:
             self._base_cx[cand.rows_np] = cand.cx
             self._base_cy[cand.rows_np] = cand.cy
@@ -543,141 +543,25 @@ class VectorBStarEngine:
 
     def _pack_suffix(self, k: int, cand: _Candidate) -> None:
         """Pack pre-order positions ``>= k`` of the (perturbed) tree into
-        ``cand``'s names, quads and center arrays — committed state
-        untouched.
-
-        Same restore-checkpoint / replay-prefix-tail / inlined-skyline
-        structure as the incremental engine's ``_repack_suffix``, but
-        with no undo logging: output goes to per-candidate lists, and
-        fresh checkpoint snapshots are kept on the candidate for
-        :meth:`accept` to install.
+        ``cand``'s packed table, checkpoint snapshots and center arrays
+        (the kernel's :func:`~repro.perf.kernel.pack_suffix`) — committed
+        state untouched; :meth:`accept` installs them.
         """
-        stride = self._stride
-        order = self._order
-        coords = self._coords
-        sizes = self._sizes
         sky = self._sky
-        c = k // stride
-        sky.restore(self._ckpts[c])
-        starts = sky._starts
-        heights = sky._heights
-        # replay the cached tail of the prefix (unchanged rectangles)
-        for idx in range(c * stride, k):
-            x, _y0, x1, y1 = coords[order[idx]]
-            i = bisect_right(starts, x) - 1
-            n_segs = len(starts)
-            j = i + 1
-            while j < n_segs and starts[j] < x1:
-                j += 1
-            tail = heights[j - 1]
-            end = starts[j] if j < n_segs else _INF
-            if starts[i] < x:
-                # segment i survives on the left: splice after it
-                i += 1
-            if x1 < end:
-                starts[i:j] = (x, x1)
-                heights[i:j] = (y1, tail)
-            else:
-                starts[i:j] = (x,)
-                heights[i:j] = (y1,)
-        names_out = cand.names
-        push_name = names_out.append
-        push_quad = cand.quads.append
-        flat: list[float] = []  # x0 y0 x1 y1 per node, row-major
-        push_flat = flat.extend
-        snaps = cand.snaps
-        stack = self._stack_at(k)
-        push_stack = stack.append
-        pop_stack = stack.pop
-        tree = self._tree
-        tree_left, tree_right = tree.left, tree.right
-        next_ckpt = (c + 1) * stride
-        idx = k
-        while stack:
-            if idx == next_ckpt:
-                snaps.append((idx // stride, (starts.copy(), heights.copy())))
-                next_ckpt += stride
-            name, x = pop_stack()
-            w, h = sizes[name]
-            x1 = x + w
-            i = 0
-            n_segs = len(starts)
-            if n_segs < 16:
-                while i + 1 < n_segs and starts[i + 1] <= x:
-                    i += 1
-            else:
-                i = bisect_right(starts, x) - 1
-            j = i + 1
-            while j < n_segs and starts[j] < x1:
-                j += 1
-            if j - i == 1:
-                y = heights[i]
-            else:
-                y = max(heights[i:j])
-            top = y + h
-            tail = heights[j - 1]
-            end = starts[j] if j < n_segs else _INF
-            if starts[i] < x:
-                # segment i survives on the left: splice after it
-                i += 1
-            if x1 < end:
-                starts[i:j] = (x, x1)
-                heights[i:j] = (top, tail)
-            else:
-                starts[i:j] = (x,)
-                heights[i:j] = (top,)
-            quad = (x, y, x1, top)
-            push_name(name)
-            push_quad(quad)
-            push_flat(quad)
-            idx += 1
-            right = tree_right[name]
-            if right is not None:
-                push_stack((right, x))
-            left = tree_left[name]
-            if left is not None:
-                push_stack((left, x1))
-        assert idx == self._n, "suffix repack lost nodes (tree corrupted?)"
+        packed, cand.snaps = pack_suffix(
+            self._tree, self._sizes, sky, k,
+            self._order, self._coords, self._ckpts, self._stride,
+        )
+        m = len(packed)
+        assert m == self._n - k, "suffix repack lost nodes (tree corrupted?)"
+        cand.packed = packed
         cand.bounding = (0.0, 0.0, sky.rightmost_edge(), sky.max_height())
-        if names_out:
-            row_of = self._row
+        if m:
             cand.rows_np = _np.fromiter(
-                map(row_of.__getitem__, names_out),
-                dtype=_np.intp,
-                count=len(names_out),
+                map(self._row.__getitem__, packed), dtype=_np.intp, count=m
             )
-            qa = _np.asarray(flat, dtype=_np.float64).reshape(-1, 4)
+            qa = _np.fromiter(
+                chain.from_iterable(packed.values()), dtype=_np.float64, count=4 * m
+            ).reshape(-1, 4)
             cand.cx = (qa[:, 0] + qa[:, 2]) / 2.0
             cand.cy = (qa[:, 1] + qa[:, 3]) / 2.0
-
-    def _stack_at(self, k: int) -> list[tuple[str, float]]:
-        """The packing DFS stack just before pre-order position ``k``
-        (O(depth) rebuild from the perturbed tree's parent pointers and
-        the cached prefix coordinates — same derivation as the
-        incremental engine's)."""
-        tree = self._tree
-        if k == 0:
-            root = tree.root
-            return [] if root is None else [(root, 0.0)]
-        coords = self._coords
-        left, right, parent = tree.left, tree.right, tree.parent
-        u = self._order[k - 1]
-        pending: list[tuple[str, float]] = []  # nearest-ancestor first
-        child = u
-        node = parent[u]
-        while node is not None:
-            if left[node] == child:
-                r = right[node]
-                if r is not None:
-                    pending.append((r, coords[node][0]))
-            child = node
-            node = parent[node]
-        pending.reverse()
-        cu = coords[u]
-        r = right[u]
-        if r is not None:
-            pending.append((r, cu[0]))
-        l = left[u]
-        if l is not None:
-            pending.append((l, cu[2]))
-        return pending

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from repro.anneal import BatchedAnnealer, GeometricSchedule, IncrementalAnnealer
-from repro.bstar import BStarPlacerConfig
+from repro.bstar import BStarPlacer, BStarPlacerConfig
 from repro.circuit import ProximityGroup, simple_testcase
 from repro.cost import (
     AreaTerm,
@@ -385,6 +385,41 @@ class TestBatchedAnnealer:
         assert cp.current_cost == cp_mono.current_cost
         assert cp.rng_state == cp_mono.rng_state
         assert cp.stats.accepted == cp_mono.stats.accepted
+
+    def test_deferred_best_snapshots_score_their_cost(self):
+        """The best state is copied only when a non-improving accept is
+        about to leave it.  After every chunk the best state still
+        scores the best cost, both for chunks that end on an improvement
+        (one snapshot serves as both states) and for chunks that
+        improved and then moved on; the chunked walk stays the
+        monolithic one."""
+        mods, nets = self._problem()
+        config = BStarPlacerConfig(seed=2, alpha=0.85, t_final=1e-2)
+        placer = BStarPlacer(mods, nets, config)
+        _, mono = _fresh(mods, nets, config, batch_max=8)
+        cp_mono = mono.advance(mono.begin(), None, _engine_synced=True)
+
+        _, chunked = _fresh(mods, nets, config, batch_max=8)
+        cp = chunked.begin()
+        ended_on_best = left_best = 0
+        while cp.step < cp.total_steps:
+            before = cp.best_cost
+            cp = chunked.advance(cp, 13, _engine_synced=True)
+            assert placer.cost(cp.best_state) == cp.best_cost
+            assert placer.cost(cp.state) == cp.current_cost
+            if cp.best_cost < before:
+                if cp.best_state is cp.state:
+                    ended_on_best += 1
+                else:
+                    left_best += 1
+        assert ended_on_best and left_best
+        assert cp.best_cost == cp_mono.best_cost
+        assert cp.current_cost == cp_mono.current_cost
+        assert cp.rng_state == cp_mono.rng_state
+        assert cp.stats == cp_mono.stats
+        assert placer.cost(cp_mono.best_state) == cp_mono.best_cost
+        assert cp.best_state.tree.parent == cp_mono.best_state.tree.parent
+        assert cp.best_state.tree.left == cp_mono.best_state.tree.left
 
     def test_batch_max_one_matches_incremental_annealer(self):
         """K=1 batching is the scalar loop: same draws, same answers."""
