@@ -7,7 +7,8 @@ Thin standalone client over :mod:`repro.analysis.sweep` (the CLI's
    ``gen:`` families} x {every annealing engine, serial + portfolio} —
    under fixed seeds and step budgets;
 2. writes the full matrix (quality + timing) to
-   ``benchmarks/out/quality_matrix_<tier>.json``;
+   ``benchmarks/out/quality_matrix_<tier>.json`` (skipped with
+   ``--no-write``);
 3. diffs the quality fields against the committed baseline
    ``benchmarks/quality_matrix.json`` and **exits 3 on regression**
    (worse ref-cost beyond tolerance, new violations, a formerly
@@ -15,6 +16,11 @@ Thin standalone client over :mod:`repro.analysis.sweep` (the CLI's
 4. appends a ``mode: "sweep"`` summary entry to the
    ``BENCH_perf_kernel.json`` trajectory (skipped with ``--no-write``
    or when the diff failed — a regressed run never becomes history).
+
+``--no-write`` is read-only: it prints the matrix and gates it, and
+writes no tracked file — neither the out matrix nor the trajectory
+(CI runs the sweep this way).  Only ``--write-baseline`` still
+rewrites the baseline it is asked to.
 
 Re-baselining is deliberate: run with ``--write-baseline`` and commit
 the refreshed ``benchmarks/quality_matrix.json`` with an audit note
@@ -24,7 +30,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/sweep.py --quick            # CI tier
     PYTHONPATH=src python benchmarks/sweep.py                    # full tier
-    PYTHONPATH=src python benchmarks/sweep.py --quick --no-write # read-only
+    PYTHONPATH=src python benchmarks/sweep.py --quick --no-write # read-only: no file written
     PYTHONPATH=src python benchmarks/sweep.py --quick --write-baseline
 """
 
@@ -86,9 +92,10 @@ def run_and_gate(
     matrix = run_sweep(tier)
     problems = validate_matrix(matrix)
     assert not problems, f"emitted matrix is schema-invalid: {problems}"
-    out_path = write_matrix(matrix, OUT_DIR / f"quality_matrix_{tier}.json")
     print(format_matrix(matrix))
-    print(f"matrix written: {out_path}")
+    if write:
+        out_path = write_matrix(matrix, OUT_DIR / f"quality_matrix_{tier}.json")
+        print(f"matrix written: {out_path}")
 
     if write_baseline:
         write_matrix(matrix, baseline_path, canonical=True)
@@ -131,7 +138,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-write",
         action="store_true",
-        help="do not append a mode:'sweep' entry to BENCH_perf_kernel.json",
+        help="read-only: write no tracked file (neither "
+        "benchmarks/out/quality_matrix_<tier>.json nor a mode:'sweep' "
+        "entry in BENCH_perf_kernel.json)",
     )
     parser.add_argument(
         "--write-baseline",

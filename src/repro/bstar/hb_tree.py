@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from ..circuit import (
     CommonCentroidGroup,
@@ -43,6 +43,9 @@ from .common_centroid import common_centroid_placement, n_variants
 from .packing import pack_sizes
 from .perturb import BStarState
 from .tree import BStarTree
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..cost.model import CostModel
 
 
 _ISLAND = "__island__"
@@ -463,20 +466,9 @@ class HBIncrementalEngine:
     #: modules whose coordinates the most recent proposal rewrote
     last_repack_len = 0
 
-    def __init__(
-        self,
-        hb: HBStarTreePlacement,
-        modules: ModuleSet,
-        nets=(),
-        proximity=(),
-        config=None,
-    ) -> None:
-        if config is None:
-            raise ValueError("HBIncrementalEngine requires a cost config")
-        from ..cost import model_for_config
-
+    def __init__(self, hb: HBStarTreePlacement, model: CostModel) -> None:
         self._hb = hb
-        self._eval = model_for_config(modules, nets, proximity, config).evaluator()
+        self._eval = model.evaluator()
         self._root = hb._hierarchy.name
         self._nodes = hb._nodes
         # hierarchy-node name -> parent name, for the dirty path

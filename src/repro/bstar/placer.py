@@ -20,7 +20,7 @@ from ..anneal.walk import CostInputs
 from ..circuit import Circuit
 from ..cost import DEFAULT_TARGET_ASPECT, DEFAULT_WEIGHTS, model_for_config
 from ..geometry import ModuleSet, Net, Placement
-from ..perf import BStarKernel, IncrementalBStarEngine, VectorBStarEngine
+from ..perf import BStarKernel, IncrementalBStarEngine
 from .hb_tree import HBIncrementalEngine, HBStarTreePlacement, HBState
 from .perturb import BStarMoveSet, BStarState
 
@@ -69,7 +69,8 @@ class BStarPlacer(AnnealingPlacer[BStarState]):
         # cost model with no Placement/PlacedModule churn.  The
         # annealing loop itself runs the *incremental* engine
         # (dirty-suffix repack + delta HPWL), whose costs are
-        # bit-identical to this kernel on every state.
+        # bit-identical to this kernel on every state, and reads the
+        # kernel's footprint tables and cost model.
         self._kernel = BStarKernel(modules, nets, (), self._config)
         self._cost_model = self._kernel.model
 
@@ -90,14 +91,20 @@ class BStarPlacer(AnnealingPlacer[BStarState]):
         """A fresh annealing engine (call ``reset`` before annealing).
 
         ``config.vector_tier`` selects the array-native
-        :class:`~repro.perf.VectorBStarEngine`; the default is the
-        dirty-suffix :class:`~repro.perf.IncrementalBStarEngine`.
+        :class:`~repro.perf.VectorBStarEngine` (imported on first use);
+        the default is the dirty-suffix
+        :class:`~repro.perf.IncrementalBStarEngine`.  Both reuse this
+        placer's kernel.
         """
         if self._config.vector_tier:
+            from ..perf.vector import VectorBStarEngine
+
             return VectorBStarEngine(
-                self._modules, self._nets, (), self._config
+                self._modules, self._nets, (), self._config, kernel=self._kernel
             )
-        return IncrementalBStarEngine(self._modules, self._nets, (), self._config)
+        return IncrementalBStarEngine(
+            self._modules, self._nets, (), self._config, kernel=self._kernel
+        )
 
     def annealer(self, engine, rng: random.Random) -> IncrementalAnnealer:
         """The annealing driver matched to this config's engine tier."""
@@ -163,13 +170,7 @@ class HierarchicalPlacer(AnnealingPlacer[HBState]):
                 "vector_tier is flat-placer only: the HB*-tree forest "
                 "has no array-native engine (use engine 'bstar')"
             )
-        return HBIncrementalEngine(
-            self._hb,
-            self._modules,
-            self._circuit.nets,
-            self._constraints.proximity,
-            self._config,
-        )
+        return HBIncrementalEngine(self._hb, self._cost_model)
 
     def initial_state(self, rng: random.Random) -> HBState:
         return self._hb.initial_state(rng)

@@ -46,16 +46,26 @@ class BStarTree:
 
     @classmethod
     def random(cls, names: Iterable[str], rng: random.Random) -> "BStarTree":
-        """A uniformly-shaped random tree (random insertion order and slots)."""
+        """A uniformly-shaped random tree (random insertion order and slots).
+
+        The names are shuffled, then each is inserted under a parent
+        drawn uniformly from the ones already in the tree, on a random
+        side.  Those are exactly ``pool[:i]``, in insertion order (which
+        is also the order of :meth:`nodes`), so the parent is drawn as
+        ``pool[rng.choice(range(i))]``: the same draw, and the same
+        tree, as ``rng.choice(list(tree.nodes()))``, without copying
+        the node list on every insertion.  Building an ``n``-node tree
+        is O(n).
+        """
         pool = list(names)
         rng.shuffle(pool)
         if not pool:
             return cls()
         tree = cls(pool[0])
-        for name in pool[1:]:
-            parent = rng.choice(list(tree.nodes()))
+        for i in range(1, len(pool)):
+            parent = pool[rng.choice(range(i))]
             side = rng.choice(("left", "right"))
-            tree.insert(name, parent, side)
+            tree.insert(pool[i], parent, side)
         return tree
 
     # -- basic structure ----------------------------------------------------------

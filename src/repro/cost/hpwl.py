@@ -16,7 +16,8 @@ to :func:`hpwl_of` while the per-step work shrinks to the
 perturbation's neighborhood.  When a move displaces most of the design
 it falls back to a numpy-vectorized batch recompute over degree-class
 pin tables (:func:`pin_index_tables`, :func:`batch_net_hpwl`:
-IEEE-identical per-net values, same summation order).
+IEEE-identical per-net values, same summation order), which imports
+numpy when it first runs (see ``docs/perf.md``, "Set-up").
 It is the delta path behind :class:`repro.cost.HPWLTerm` and follows
 the same ``propose -> commit/rollback`` protocol as the annealing
 engines that drive it.
@@ -31,11 +32,6 @@ over the equivalent :class:`~repro.geometry.Placement` (see
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
-
-try:  # numpy is a declared dependency, but keep the scalar path self-sufficient
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 from ..geometry import ordered_sum
 
@@ -78,10 +74,10 @@ def pin_index_tables(
     back into net order, so totals still sum in the exact
     :func:`hpwl_of` accumulation order.  Shared by :class:`DeltaHPWL`'s
     batch recompute and the array tier (:mod:`repro.perf.vector`);
-    requires numpy.
+    imports numpy on first call.
     """
-    if _np is None:  # pragma: no cover - numpy is a declared dependency
-        raise RuntimeError("numpy is required for pin-index tables")
+    import numpy as np
+
     index = {name: i for i, name in enumerate(names)}
     classes: dict[int, list[int]] = {}
     for i, (_weight, pins) in enumerate(resolved):
@@ -98,11 +94,11 @@ def pin_index_tables(
             rows.append(row + row[:1] * (depth - len(row)))
         tables.append(
             PinClass(
-                pos=_np.asarray(members, dtype=_np.intp),
-                weights=_np.asarray(
-                    [resolved[i][0] for i in members], dtype=_np.float64
+                pos=np.asarray(members, dtype=np.intp),
+                weights=np.asarray(
+                    [resolved[i][0] for i in members], dtype=np.float64
                 ),
-                pins=_np.asarray(rows, dtype=_np.intp).T.copy(),
+                pins=np.asarray(rows, dtype=np.intp).T.copy(),
             )
         )
     return tuple(tables)
@@ -419,15 +415,17 @@ class DeltaHPWL:
 
     def _batch_usable(self, coords: Coords) -> bool:
         # the vectorized path indexes every module unconditionally, so it
-        # needs numpy and a complete coordinate table
-        return _np is not None and len(coords) >= len(self._names)
+        # needs a complete coordinate table
+        return len(coords) >= len(self._names)
 
     def _batch_vals(self, coords: Coords) -> list[float]:
+        import numpy as np
+
         if self._np_tables is None:
             self._np_tables = pin_index_tables(self._resolved, self._names)
         arr = self._np_buf
         if arr is None:
-            arr = self._np_buf = _np.empty((len(self._names), 4), dtype=_np.float64)
+            arr = self._np_buf = np.empty((len(self._names), 4), dtype=np.float64)
         # gather through a flat python list into the preallocated
         # buffer's flat view: measurably faster than materializing a
         # fresh (n, 4) array from a dict comprehension every recompute
@@ -438,5 +436,5 @@ class DeltaHPWL:
         arr.reshape(-1)[:] = entries
         cx = (arr[:, 0] + arr[:, 2]) / 2.0
         cy = (arr[:, 1] + arr[:, 3]) / 2.0
-        vals = _np.empty(len(self._resolved), dtype=_np.float64)
+        vals = np.empty(len(self._resolved), dtype=np.float64)
         return batch_net_hpwl(self._np_tables, cx, cy, vals).tolist()

@@ -7,6 +7,7 @@ from .orientation import (
     PACKING_ORIENTATIONS,
     Orientation,
     oriented_size,
+    oriented_sizes,
 )
 from .outline import WellReport, union_area, union_perimeter, well_report
 from .placement import PlacedModule, Placement
@@ -30,6 +31,7 @@ __all__ = [
     "clique_nets_from_pairs",
     "ordered_sum",
     "oriented_size",
+    "oriented_sizes",
     "total_area",
     "total_hpwl",
     "union_area",

@@ -55,6 +55,8 @@ class Orientation(Enum):
 
 
 _SWAPPING = {Orientation.R90, Orientation.R270, Orientation.MX90, Orientation.MY90}
+#: (orientation, swaps_wh) for the whole group, for :func:`oriented_sizes`
+_SWAP_FLAGS = tuple((o, o in _SWAPPING) for o in Orientation)
 _MIRRORED = {Orientation.MX, Orientation.MY, Orientation.MX90, Orientation.MY90}
 
 _ROTATE_CCW = {
@@ -102,3 +104,14 @@ def oriented_size(width: float, height: float, orientation: Orientation) -> tupl
     if orientation.swaps_wh:
         return height, width
     return width, height
+
+
+def oriented_sizes(width: float, height: float) -> dict[Orientation, tuple[float, float]]:
+    """:func:`oriented_size` under every orientation, as one map.
+
+    An orientation keeps ``(width, height)`` or swaps it, so every value
+    is one of two tuples, shared by the orientations that give it.
+    """
+    wh = (width, height)
+    hw = (height, width)
+    return {o: hw if swaps else wh for o, swaps in _SWAP_FLAGS}

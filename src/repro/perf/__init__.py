@@ -39,7 +39,9 @@ Modules
     batched multi-candidate proposal (``propose_batch``/``accept``/
     ``reject_all`` driven by :class:`repro.anneal.BatchedAnnealer`) and
     vectorized cost evaluation, with the scalar path kept as a
-    bit-identity oracle.
+    bit-identity oracle.  Its two classes are served on first access
+    by this package's ``__getattr__``, so the scalar tiers never import
+    numpy (see ``docs/perf.md``, "Set-up").
 
 The cost side of the loop (term catalog, :class:`~repro.cost.CostModel`,
 delta HPWL) lives in :mod:`repro.cost`; ``DeltaHPWL`` / ``hpwl_of`` /
@@ -56,7 +58,18 @@ from .coords import (
 from ..cost.hpwl import DeltaHPWL, hpwl_of, resolve_nets
 from .kernel import BStarKernel, Skyline, pack_tree_coords
 from .incremental import FullRepackBStarEngine, IncrementalBStarEngine
-from .vector import BatchCostEvaluator, VectorBStarEngine
+
+#: names served from :mod:`repro.perf.vector` on first access
+_VECTOR_TIER = ("BatchCostEvaluator", "VectorBStarEngine")
+
+
+def __getattr__(name: str):
+    if name in _VECTOR_TIER:
+        from . import vector
+
+        return getattr(vector, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BStarKernel",

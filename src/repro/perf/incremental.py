@@ -89,6 +89,7 @@ class IncrementalBStarEngine:
         *,
         allow_rotation: bool = True,
         stride: int | None = None,
+        kernel: BStarKernel | None = None,
     ) -> None:
         if config is None:
             raise ValueError("IncrementalBStarEngine requires a cost config")
@@ -97,8 +98,9 @@ class IncrementalBStarEngine:
         self._moves = perturb.InPlaceBStarMoves(modules, allow_rotation=allow_rotation)
         # share the kernel's footprint tables and its unified cost
         # model (same package, same tier); the evaluator is this
-        # engine's delta-capable session over that model
-        self._kernel = BStarKernel(modules, nets, proximity, config)
+        # engine's delta-capable session over that model.  A placer
+        # may hand in its kernel: engines never touch its skyline
+        self._kernel = kernel or BStarKernel(modules, nets, proximity, config)
         self._eval = self._kernel.model.evaluator()
         self._footprints = self._kernel._footprints
         self._stride = max(1, stride or default_stride(len(modules)))

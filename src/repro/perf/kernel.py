@@ -28,7 +28,7 @@ from math import isqrt
 from typing import Mapping, Sequence
 
 from ..circuit import ProximityGroup
-from ..geometry import ModuleSet, Net, Orientation, Placement
+from ..geometry import ModuleSet, Net, Orientation, Placement, oriented_sizes
 from .coords import Coords, coords_to_placement
 
 _INF = float("inf")
@@ -339,7 +339,10 @@ class BStarKernel:
     :meth:`cost` (or :meth:`pack`), which touches only precomputed
     tables, the reusable skyline and one output dict.  The rich
     :class:`Placement` is materialized by :meth:`placement` for the
-    best/final state only.
+    best/final state only.  The incremental and vector engines read its
+    footprint tables and cost model, never its skyline, so a
+    :class:`~repro.bstar.BStarPlacer` hands its one kernel to every
+    engine it builds.
     """
 
     def __init__(
@@ -362,10 +365,7 @@ class BStarKernel:
         )
         # footprint table: name -> variant index -> orientation -> (w, h)
         self._footprints: dict[str, list[dict[Orientation, tuple[float, float]]]] = {
-            m.name: [
-                {o: m.footprint(v, o) for o in Orientation}
-                for v in range(len(m.variants))
-            ]
+            m.name: [oriented_sizes(v.width, v.height) for v in m.variants]
             for m in modules
         }
         # default footprints (variant 0, R0): the pack loop copies this

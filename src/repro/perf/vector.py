@@ -68,10 +68,7 @@ import random
 from itertools import chain
 from typing import TYPE_CHECKING, Sequence
 
-try:  # keep repro.perf importable without numpy (scalar tiers don't need it)
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as np
 
 from ..circuit import ProximityGroup
 from ..cost.hpwl import batch_net_hpwl, pin_index_tables
@@ -125,8 +122,6 @@ class BatchCostEvaluator:
     _EMPTY: dict = {}
 
     def __init__(self, model: CostModel, names: Sequence[str]) -> None:
-        if _np is None:  # pragma: no cover - numpy is a declared dependency
-            raise RuntimeError("the vector tier requires numpy")
         reason = self.unsupported_reason(model)
         if reason:
             raise ValueError(f"model not vectorizable: {reason}")
@@ -165,7 +160,7 @@ class BatchCostEvaluator:
         the row sum (``cumsum``) replicates the left-to-right float
         accumulation of :func:`~repro.geometry.ordered_sum` exactly.
         """
-        vals = _np.empty((cx.shape[0], self._n_nets), dtype=_np.float64)
+        vals = np.empty((cx.shape[0], self._n_nets), dtype=np.float64)
         batch_net_hpwl(self._tables, cx, cy, vals)
         return vals.cumsum(axis=1)[:, -1]
 
@@ -274,11 +269,10 @@ class VectorBStarEngine:
         allow_rotation: bool = True,
         stride: int | None = None,
         evaluator: str = "vector",
+        kernel: BStarKernel | None = None,
     ) -> None:
         if config is None:
             raise ValueError("VectorBStarEngine requires a cost config")
-        if _np is None:  # pragma: no cover - numpy is a declared dependency
-            raise RuntimeError("the vector tier requires numpy")
         if evaluator not in ("vector", "scalar"):
             raise ValueError(f"unknown evaluator {evaluator!r}")
         perturb = _perturb_module()
@@ -286,7 +280,8 @@ class VectorBStarEngine:
         self._moves = perturb.WindowedBStarMoves(
             modules, allow_rotation=allow_rotation
         )
-        self._kernel = BStarKernel(modules, nets, proximity, config)
+        # a placer may hand in its kernel: engines never touch its skyline
+        self._kernel = kernel or BStarKernel(modules, nets, proximity, config)
         model = self._kernel.model
         self._model = model
         self._names = tuple(modules.names())
@@ -320,8 +315,8 @@ class VectorBStarEngine:
         self._order: list[str] = []
         self._pos: dict[str, int] = {}
         self._ckpts: list = []
-        self._base_cx = _np.zeros(self._n, dtype=_np.float64)
-        self._base_cy = _np.zeros(self._n, dtype=_np.float64)
+        self._base_cx = np.zeros(self._n, dtype=np.float64)
+        self._base_cy = np.zeros(self._n, dtype=np.float64)
         self._bounding = (0.0, 0.0, 0.0, 0.0)
         self._cost = _INF
 
@@ -514,8 +509,8 @@ class VectorBStarEngine:
         n = self._n
         buf = self._buf_cx
         if buf is None or buf.shape[0] < k:
-            self._buf_cx = _np.empty((k, n), dtype=_np.float64)
-            self._buf_cy = _np.empty((k, n), dtype=_np.float64)
+            self._buf_cx = np.empty((k, n), dtype=np.float64)
+            self._buf_cy = np.empty((k, n), dtype=np.float64)
         cx = self._buf_cx[:k]
         cy = self._buf_cy[:k]
         cx[:] = self._base_cx
@@ -557,11 +552,11 @@ class VectorBStarEngine:
         cand.packed = packed
         cand.bounding = (0.0, 0.0, sky.rightmost_edge(), sky.max_height())
         if m:
-            cand.rows_np = _np.fromiter(
-                map(self._row.__getitem__, packed), dtype=_np.intp, count=m
+            cand.rows_np = np.fromiter(
+                map(self._row.__getitem__, packed), dtype=np.intp, count=m
             )
-            qa = _np.fromiter(
-                chain.from_iterable(packed.values()), dtype=_np.float64, count=4 * m
+            qa = np.fromiter(
+                chain.from_iterable(packed.values()), dtype=np.float64, count=4 * m
             ).reshape(-1, 4)
             cand.cx = (qa[:, 0] + qa[:, 2]) / 2.0
             cand.cy = (qa[:, 1] + qa[:, 3]) / 2.0

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import accumulate
 from math import ceil
 
 from ..circuit import (
@@ -176,12 +177,14 @@ def _global_nets(
         return []
     names = [m.name for m in modules]
     degrees = list(range(2, min(spec.max_degree, n) + 1))
-    weights = [k ** -spec.gamma for k in degrees]
+    # accumulated once: ``choices`` would re-accumulate plain weights on
+    # every call, and draws the same degree from either form
+    cum_weights = list(accumulate(k ** -spec.gamma for k in degrees))
     window = max(3, n // 16)
 
     nets: list[Net] = []
     for g in range(count):
-        degree = rng.choices(degrees, weights)[0]
+        degree = rng.choices(degrees, cum_weights=cum_weights)[0]
         center = rng.randrange(n)
         pins = {center}
         attempts = 0

@@ -204,3 +204,43 @@ class TestRemoveChainSplice:
         assert fast.right == reference.right
         assert fast.parent == reference.parent
         fast.validate()
+
+
+class TestRandomTreeDraws:
+    """random() draws each parent by index into the shuffled pool; lock
+    it against the definitional draw from the tree's node list."""
+
+    @staticmethod
+    def _reference_random(names_, rng: random.Random) -> BStarTree:
+        # the O(n^2) formulation: copy the node list on every insertion
+        pool = list(names_)
+        rng.shuffle(pool)
+        if not pool:
+            return BStarTree()
+        tree = BStarTree(pool[0])
+        for name in pool[1:]:
+            parent = rng.choice(list(tree.nodes()))
+            side = rng.choice(("left", "right"))
+            tree.insert(name, parent, side)
+        return tree
+
+    @given(st.integers(1, 300), st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_node_list_draws(self, n, seed):
+        ns = names(n)
+        rng_fast, rng_ref = random.Random(seed), random.Random(seed)
+        fast = BStarTree.random(ns, rng_fast)
+        reference = self._reference_random(ns, rng_ref)
+        assert fast.root == reference.root
+        assert fast.left == reference.left
+        assert fast.right == reference.right
+        assert fast.parent == reference.parent
+        assert list(fast.nodes()) == list(reference.nodes())
+        assert rng_fast.getstate() == rng_ref.getstate()
+        fast.validate()
+
+    def test_empty_pool_draws_nothing(self):
+        rng = random.Random(5)
+        state = rng.getstate()
+        assert len(BStarTree.random([], rng)) == 0
+        assert rng.getstate() == state

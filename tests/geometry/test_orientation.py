@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.geometry import ALL_ORIENTATIONS, Orientation, oriented_size
+from repro.geometry import ALL_ORIENTATIONS, Orientation, oriented_size, oriented_sizes
 
 
 class TestOrientationAlgebra:
@@ -84,3 +84,11 @@ class TestOrientedSize:
     def test_mirror_rotations_swap(self):
         assert oriented_size(3.0, 5.0, Orientation.MX90) == (5.0, 3.0)
         assert oriented_size(3.0, 5.0, Orientation.MY90) == (5.0, 3.0)
+
+    def test_all_orientations_at_once(self):
+        sizes = oriented_sizes(3.0, 5.0)
+        assert list(sizes) == list(ALL_ORIENTATIONS)
+        for o in ALL_ORIENTATIONS:
+            assert sizes[o] == oriented_size(3.0, 5.0, o)
+        # one tuple per distinct footprint, shared across orientations
+        assert len({id(wh) for wh in sizes.values()}) == 2

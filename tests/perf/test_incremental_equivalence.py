@@ -306,8 +306,8 @@ def _hb_engine(circuit, config):
     modules = circuit.modules()
     proximity = circuit.constraints().proximity
     hb = HBStarTreePlacement(circuit.hierarchy, modules)
-    engine = HBIncrementalEngine(hb, modules, circuit.nets, proximity, config)
-    return hb, engine, model_for_config(modules, circuit.nets, proximity, config)
+    model = model_for_config(modules, circuit.nets, proximity, config)
+    return hb, HBIncrementalEngine(hb, model), model
 
 
 class TestHBIncrementalEngine:

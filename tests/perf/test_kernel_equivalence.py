@@ -27,6 +27,7 @@ from repro.bstar.contour import Contour
 from repro.cost import model_for_config
 from repro.geometry import Module, ModuleSet, Net, Orientation, total_hpwl
 from repro.perf import BStarKernel, Skyline, placement_to_coords
+from repro.workloads import resolve_workload
 
 
 def _legacy_object_cost(modules, nets, proximity, config):
@@ -150,6 +151,27 @@ class TestFlatKernel:
             tree, orientations, variants = _random_state(mods, rng)
             placement = pack(tree, mods, orientations, variants)
             assert kernel.pack(tree, orientations, variants) == placement_to_coords(placement)
+
+    def test_footprint_table_is_module_footprint(self):
+        """Every table entry is ``Module.footprint(v, o)``, over a
+        soft-heavy generated design (three variants on most modules)
+        plus one non-square hard module per rotation flag."""
+        circuit = resolve_workload("gen:n=300,seed=4,soft=0.8")
+        mods = ModuleSet.of(
+            list(circuit.modules())
+            + [Module.hard("h0", 2.0, 5.0), Module.hard("h1", 3.0, 1.0, rotatable=False)]
+        )
+        assert sum(len(m.variants) > 1 for m in mods) > 200
+        kernel = BStarKernel(mods)
+        assert list(kernel._footprints) == list(mods.names())
+        for m in mods:
+            table = kernel._footprints[m.name]
+            assert len(table) == len(m.variants)
+            for v, by_orient in enumerate(table):
+                assert list(by_orient) == list(Orientation)
+                for o in Orientation:
+                    assert by_orient[o] == m.footprint(v, o)
+            assert kernel.resolved_sizes()[m.name] == m.footprint(0, Orientation.R0)
 
     def test_placer_cost_is_kernel_cost(self, small_modules):
         config = BStarPlacerConfig(seed=2)

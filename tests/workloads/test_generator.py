@@ -3,6 +3,7 @@ and the all-engines annealing smoke the issue demands."""
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 import random
 
@@ -51,6 +52,27 @@ class TestDeterminism:
         a = generate_circuit(WorkloadSpec(n=30, seed=1))
         b = generate_circuit(WorkloadSpec(n=30, seed=2))
         assert canonical_json(a) != canonical_json(b)
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            (
+                "gen:n=5000,seed=0,sym=0,prox=0",
+                "eea3291cd40c3c8f7bfdc5baaa297bbf58aa36fe3b5ac42903c55b84453c28ed",
+            ),
+            (
+                "gen:n=1000,seed=3",
+                "1db29237ed668143749bc53cc8c9930602ff63ff66c45577d1702103d650fb63",
+            ),
+        ],
+    )
+    def test_pinned_circuits_keep_their_bytes(self, name, digest):
+        """Pinned sha256 of two benchmark-sized circuits: a change to
+        how the generator draws (e.g. how net degrees are weighted) must
+        keep every draw, and so every byte, of the circuits the
+        benchmark and the tests are built on."""
+        text = canonical_json(generate_circuit(parse_gen_spec(name)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_name_and_direct_generation_agree(self):
         """resolve-by-name and generate-by-spec are the same function."""
