@@ -49,10 +49,10 @@ import random
 import time
 from pathlib import Path
 
-from repro.anneal import Annealer, IncrementalAnnealer
-from repro.bstar import BStarPlacerConfig
+from repro.anneal import Annealer, FunctionMoveSet, IncrementalAnnealer
+from repro.bstar import BStarPlacerConfig, BStarState
 from repro.bstar.packing import pack
-from repro.bstar.perturb import BStarMoveSet
+from repro.bstar.perturb import InPlaceBStarMoves
 from repro.bstar.tree import BStarTree
 from repro.cost import hpwl_of, resolve_nets
 from repro.geometry import Module, ModuleSet, Net, total_hpwl
@@ -188,13 +188,23 @@ def measure(n: int, config: BStarPlacerConfig, repeats: int = 3) -> dict:
     def kernel_cost(state):
         return kernel.cost(state.tree, state.orientations, state.variants)
 
-    moves = BStarMoveSet(modules)
+    in_place = InPlaceBStarMoves(modules)
+
+    def neighbor(state, rng):
+        # functional move: a fresh state, the input left untouched
+        tree = state.tree.clone()
+        orientations = dict(state.orientations)
+        variants = dict(state.variants)
+        in_place.apply(tree, orientations, variants, rng)
+        return BStarState(tree, orientations, variants)
+
+    moves = FunctionMoveSet(neighbor)
     schedule = config.schedule()
 
     def run_functional(cost_fn) -> tuple[float, float]:
         rng = random.Random(config.seed)
         annealer = Annealer(cost_fn, moves, schedule, rng)
-        initial = moves.initial_state(rng)
+        initial = in_place.initial_state(rng)
         t0 = time.perf_counter()
         outcome = annealer.run(initial)
         elapsed = time.perf_counter() - t0
@@ -320,8 +330,9 @@ def record_trajectory_entry(
 
     The single recording path shared by every ``benchmarks/bench_*.py``:
     builds the common provenance header (mode, python version,
-    wall-clock timestamp, active telemetry mode) once, then merges the
-    benchmark-specific ``payload`` on top.
+    wall-clock timestamp, telemetry mode) once, then merges the
+    benchmark-specific ``payload`` on top.  Benchmarks run untraced, so
+    the telemetry mode is always ``"off"``.
 
     When ``gate`` is set the entry is diffed against the trajectory with
     :func:`check_regression` first.  The regression diff only means
@@ -333,13 +344,11 @@ def record_trajectory_entry(
 
     Returns ``{"entry", "appended", "regressions"}``.
     """
-    from repro.telemetry import active_mode
-
     entry = {
         "mode": mode,
         "python": platform.python_version(),
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "telemetry": active_mode(),
+        "telemetry": "off",
         **payload,
     }
     regressions: list[str] = []

@@ -44,7 +44,7 @@ from bench_perf_kernel import JSON_PATH, problem, record_trajectory_entry
 
 from repro.anneal import BatchedAnnealer, IncrementalAnnealer
 from repro.bstar import BStarPlacerConfig
-from repro.perf import IncrementalBStarEngine, VectorBStarEngine
+from repro.perf import IncrementalBStarEngine, VectorBStarEngine, vector
 
 #: acceptance bar: vector vs incremental steps/s at 1000 modules (full)
 VECTOR_TARGET = 5.0
@@ -70,9 +70,7 @@ def _run_vector(modules, nets, config, max_steps, *, evaluator="vector"):
     rng = random.Random(config.seed)
     engine = VectorBStarEngine(modules, nets, (), config, evaluator=evaluator)
     engine.reset(engine.initial_state(rng))
-    annealer = BatchedAnnealer(
-        engine, config.schedule(), rng, batch_max=config.vector_batch
-    )
+    annealer = BatchedAnnealer(engine, config.schedule(), rng)
     return _drive(engine, annealer, max_steps)
 
 
@@ -143,8 +141,9 @@ def run(fast: bool = False, write: bool = False) -> dict:
     recorded = record_trajectory_entry(
         "vector",
         {
-            "batch_max": config.vector_batch,
-            "window_min": config.vector_window_min,
+            # the tier's fixed batch cap and window floor, as run
+            "batch_max": BatchedAnnealer.__init__.__kwdefaults__["batch_max"],
+            "window_min": vector._WINDOW_MIN,
             "runs": [
                 measure(n, config, repeats, max_steps)
                 for n, repeats, max_steps in points

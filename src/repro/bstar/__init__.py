@@ -11,14 +11,13 @@ from .contour import Contour
 from .count import catalan, count_bstar_trees, enumerate_bstar_trees
 from .hb_tree import HBStarTreePlacement, HBState, LevelState
 from .packing import pack, pack_sizes
-from .perturb import BStarMoveSet, BStarState
+from .perturb import BStarState
 from .placer import BStarPlacer, BStarPlacerConfig, HierarchicalPlacer
 from .tree import BStarTree
 
 __all__ = [
     "ASFBStarTree",
     "ASFMoveSet",
-    "BStarMoveSet",
     "BStarPlacer",
     "BStarPlacerConfig",
     "BStarState",

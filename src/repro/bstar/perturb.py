@@ -1,24 +1,27 @@
 """Perturbation operations for B*-tree annealing.
 
 The standard move set of [5]: rotate a module, move a node to a new
-(parent, side) slot, and swap two nodes.
+(parent, side) slot, and swap two nodes.  Moves mutate the state in
+place and return a :class:`PerturbRecord` reporting exactly which nodes
+were touched (so the packing engine can bound the dirty pre-order
+suffix) plus the pointer snapshots needed to undo the move on
+rejection.
 
-Two flavors share the same op mix and random-draw pattern:
+* :class:`InPlaceBStarMoves` — global draws, the move family of
+  :class:`repro.perf.incremental.IncrementalBStarEngine` (and of its
+  full-repack twin).
+* :class:`WindowedBStarMoves` — the same op mix with operands drawn
+  from a pre-order window, the move family of the vector tier's
+  :class:`repro.perf.vector.VectorBStarEngine`.
 
-* :class:`BStarMoveSet` — functional; moves clone the tree and never
-  mutate their input (the classic :class:`~repro.anneal.MoveSet`).
-* :class:`InPlaceBStarMoves` — incremental; moves mutate the state in
-  place and return a :class:`PerturbRecord` reporting exactly which
-  nodes were touched (so the packing engine can bound the dirty
-  pre-order suffix) plus the pointer snapshots needed to undo the move
-  on rejection.  Used by
-  :class:`repro.perf.incremental.IncrementalBStarEngine`.
+A caller that wants a functional neighbor (a fresh state, input left
+untouched) clones the tree and the two maps, then applies a move.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..geometry import ModuleSet, Orientation
@@ -32,69 +35,6 @@ class BStarState:
     tree: BStarTree = field(compare=False)
     orientations: Mapping[str, Orientation] = field(default_factory=dict)
     variants: Mapping[str, int] = field(default_factory=dict)
-
-
-class BStarMoveSet:
-    """Random rotate / move / swap perturbations."""
-
-    def __init__(self, modules: ModuleSet, *, allow_rotation: bool = True) -> None:
-        self._modules = modules
-        self._names = list(modules.names())
-        self._rotatable = (
-            [n for n in self._names if modules[n].rotatable] if allow_rotation else []
-        )
-        self._soft = [n for n in self._names if len(modules[n].variants) > 1]
-        # The op/weight tables depend only on the module set — build once.
-        ops = [self._move, self._swap]
-        weights = [4.0, 4.0]
-        if self._rotatable:
-            ops.append(self._rotate)
-            weights.append(2.0)
-        if self._soft:
-            ops.append(self._reshape)
-            weights.append(1.5)
-        self._ops = ops
-        self._weights = weights
-
-    def initial_state(self, rng: random.Random) -> BStarState:
-        return BStarState(BStarTree.random(self._names, rng))
-
-    def propose(self, state: BStarState, rng: random.Random) -> BStarState:
-        (op,) = rng.choices(self._ops, weights=self._weights, k=1)
-        return op(state, rng)
-
-    # -- moves ---------------------------------------------------------------
-
-    def _move(self, state: BStarState, rng: random.Random) -> BStarState:
-        if len(self._names) < 2:
-            return state
-        tree = state.tree.clone()
-        name = rng.choice(self._names)
-        tree.remove(name)
-        parent = rng.choice(list(tree.nodes()))
-        tree.insert(name, parent, rng.choice(("left", "right")))
-        return replace(state, tree=tree)
-
-    def _swap(self, state: BStarState, rng: random.Random) -> BStarState:
-        if len(self._names) < 2:
-            return state
-        a, b = rng.sample(self._names, 2)
-        tree = state.tree.clone()
-        tree.swap_nodes(a, b)
-        return replace(state, tree=tree)
-
-    def _rotate(self, state: BStarState, rng: random.Random) -> BStarState:
-        name = rng.choice(self._rotatable)
-        orientations = dict(state.orientations)
-        current = orientations.get(name, Orientation.R0)
-        orientations[name] = Orientation.R90 if current == Orientation.R0 else Orientation.R0
-        return replace(state, orientations=orientations)
-
-    def _reshape(self, state: BStarState, rng: random.Random) -> BStarState:
-        name = rng.choice(self._soft)
-        variants = dict(state.variants)
-        variants[name] = rng.randrange(len(self._modules[name].variants))
-        return replace(state, variants=variants)
 
 
 #: sentinel for "the key was absent before the move"
@@ -132,20 +72,19 @@ class PerturbRecord:
 
 
 class InPlaceBStarMoves:
-    """Mutating twin of :class:`BStarMoveSet` with undo records.
+    """Random move / swap / rotate / reshape moves with undo records.
 
-    Op mix and weights match the functional move set, so annealing
-    walks are drawn from the same *distribution* — but not draw for
-    draw: ``_move`` picks the insert target by rejection sampling from
-    the static name list instead of materializing ``tree.nodes()``, so
-    a given seed walks a different (equally distributed) trajectory
-    than the functional set.  Seed-for-seed parity holds only between
-    two consumers of this class (e.g. the incremental engine and its
-    full-repack twin).  Moves mutate ``tree`` / ``orientations`` /
-    ``variants`` directly and return a :class:`PerturbRecord` that
-    :meth:`undo` reverses exactly (pointer values and map entries; dict
-    insertion *order* may differ after an undone move, which affects
-    nothing but the iteration order behind future random draws).
+    Ops are drawn with weights 4 / 4 / 2 / 1.5 (rotate only over
+    rotatable modules, reshape only over soft ones); ``_move`` picks
+    the insert target by rejection sampling from the static name list,
+    so no proposal materializes ``tree.nodes()``.  Seed-for-seed parity
+    holds between any two consumers of this class (e.g. the
+    incremental engine and its full-repack twin).  Moves mutate
+    ``tree`` / ``orientations`` / ``variants`` directly and return a
+    :class:`PerturbRecord` that :meth:`undo` reverses exactly (pointer
+    values and map entries; dict insertion *order* may differ after an
+    undone move, which affects nothing but the iteration order behind
+    future random draws).
     """
 
     def __init__(self, modules: ModuleSet, *, allow_rotation: bool = True) -> None:

@@ -22,7 +22,8 @@ from ..cost import DEFAULT_TARGET_ASPECT, DEFAULT_WEIGHTS, model_for_config
 from ..geometry import ModuleSet, Net, Placement
 from ..perf import BStarKernel, IncrementalBStarEngine
 from .hb_tree import HBIncrementalEngine, HBStarTreePlacement, HBState
-from .perturb import BStarMoveSet, BStarState
+from .perturb import BStarState
+from .tree import BStarTree
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,6 @@ class BStarPlacerConfig(AnnealConfig):
     #: A different move/draw family from the incremental engine — same
     #: objective, not the same trajectory (see ``docs/perf.md``).
     vector_tier: bool = False
-    #: max candidates per batched proposal under the vector tier
-    vector_batch: int = 16
-    #: smallest windowed-move suffix the vector tier draws
-    vector_window_min: int = 8
 
 
 class BStarPlacer(AnnealingPlacer[BStarState]):
@@ -64,7 +61,6 @@ class BStarPlacer(AnnealingPlacer[BStarState]):
         self._modules = modules
         self._nets = nets
         self._config = config or BStarPlacerConfig()
-        self._moves = BStarMoveSet(modules)
         # Reference evaluation tier: packed coordinates and the unified
         # cost model with no Placement/PlacedModule churn.  The
         # annealing loop itself runs the *incremental* engine
@@ -109,14 +105,11 @@ class BStarPlacer(AnnealingPlacer[BStarState]):
     def annealer(self, engine, rng: random.Random) -> IncrementalAnnealer:
         """The annealing driver matched to this config's engine tier."""
         if self._config.vector_tier:
-            return BatchedAnnealer(
-                engine, self.schedule(), rng,
-                batch_max=self._config.vector_batch,
-            )
+            return BatchedAnnealer(engine, self.schedule(), rng)
         return super().annealer(engine, rng)
 
     def initial_state(self, rng: random.Random) -> BStarState:
-        return self._moves.initial_state(rng)
+        return BStarState(BStarTree.random(self._modules.names(), rng))
 
     def finalize(self, state: BStarState) -> Placement:
         """Materialize a state as a normalized :class:`Placement`.

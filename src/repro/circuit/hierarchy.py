@@ -68,10 +68,13 @@ class HierarchyNode:
         raise TypeError(f"unknown constraint type {type(self.constraint)!r}")
 
     def walk(self) -> Iterator["HierarchyNode"]:
-        """Pre-order traversal."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """Pre-order traversal (an explicit stack: one generator at any
+        depth, not one per level)."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def leaves(self) -> Iterator["HierarchyNode"]:
         for node in self.walk():

@@ -147,63 +147,22 @@ def resolve_nets(nets: Iterable[Net], names: Iterable[str]) -> list[ResolvedNet]
 def hpwl_of(resolved: Sequence[ResolvedNet], coords: Coords) -> float:
     """Weighted HPWL over module centers (mirrors :func:`total_hpwl`).
 
-    Two-pin nets — the overwhelming majority in practice — take a
-    branch-free fast path; the span |c1 - c2| equals max - min bit for
-    bit, so the result is unchanged.
+    The per-net values of :func:`net_hpwl`, summed left to right in net
+    order (:func:`~repro.geometry.ordered_sum`), so a cache of per-net
+    values re-summed the same way reproduces the total bit for bit.
     """
-    total = 0.0
-    get = coords.get
-    for weight, pins in resolved:
-        if len(pins) == 2:
-            a = get(pins[0])
-            if a is None:
-                continue
-            b = get(pins[1])
-            if b is None:
-                continue
-            ax0, ay0, ax1, ay1 = a
-            bx0, by0, bx1, by1 = b
-            cax = (ax0 + ax1) / 2.0
-            cbx = (bx0 + bx1) / 2.0
-            cay = (ay0 + ay1) / 2.0
-            cby = (by0 + by1) / 2.0
-            dx = cax - cbx if cax >= cbx else cbx - cax
-            dy = cay - cby if cay >= cby else cby - cay
-            total += weight * (dx + dy)
-            continue
-        min_x = max_x = min_y = max_y = 0.0
-        count = 0
-        for pin in pins:
-            entry = get(pin)
-            if entry is None:
-                continue
-            x0, y0, x1, y1 = entry
-            cx = (x0 + x1) / 2.0
-            cy = (y0 + y1) / 2.0
-            if count == 0:
-                min_x = max_x = cx
-                min_y = max_y = cy
-            else:
-                if cx < min_x:
-                    min_x = cx
-                elif cx > max_x:
-                    max_x = cx
-                if cy < min_y:
-                    min_y = cy
-                elif cy > max_y:
-                    max_y = cy
-            count += 1
-        if count >= 2:
-            total += weight * ((max_x - min_x) + (max_y - min_y))
-    return total
+    # float(): an empty sum is the int 0
+    return float(
+        ordered_sum([net_hpwl(weight, pins, coords) for weight, pins in resolved])
+    )
 
 
 def net_hpwl(weight: float, pins: tuple[str, ...], coords: Coords) -> float:
-    """One net's weighted HPWL — per-net twin of :func:`hpwl_of`.
+    """One net's weighted HPWL: the term :func:`hpwl_of` adds for it.
 
-    Returns exactly the term :func:`hpwl_of` would add for this net
-    (``0.0`` when fewer than two pins are placed), so summing cached
-    per-net values in net order reproduces the total bit for bit.
+    ``0.0`` when fewer than two pins are placed.  Two-pin nets — the
+    overwhelming majority in practice — take a branch-free fast path;
+    the span ``|c1 - c2|`` equals ``max - min`` bit for bit.
     """
     get = coords.get
     if len(pins) == 2:

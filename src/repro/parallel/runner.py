@@ -367,14 +367,20 @@ class _InlineExecutor:
 
     FIFO order makes serial runs reproducible step for step; because
     trajectories are scheduling-independent anyway, its results are
-    identical to the socket executor's.  Retry and quarantine follow
-    the same :class:`_ChunkSupervisor` rules as worker processes;
+    identical to the socket executor's.  A failed attempt resolves
+    through :func:`resolve_chunk_failure`, as in worker processes
+    (same retry and quarantine rules, same ``retry`` incidents);
     ``hang``/``die`` faults and chunk timeouts need a real process to
     kill, so the runner rejects them for in-process execution.
     """
 
-    def __init__(self, supervisor: _ChunkSupervisor) -> None:
+    def __init__(
+        self,
+        supervisor: _ChunkSupervisor,
+        incident: Callable[[int | None, str, str], None],
+    ) -> None:
         self._supervisor = supervisor
+        self._incident = incident
         self._queue: deque[tuple[ChunkTask, int]] = deque()
 
     def dispatch(self, task: ChunkTask) -> None:
@@ -383,22 +389,24 @@ class _InlineExecutor:
         )
 
     def collect(self) -> ChunkResult | ChunkFailure:
-        task, chunk_index = self._queue.popleft()
         supervisor = self._supervisor
         while True:
+            task, chunk_index = self._queue.popleft()
             try:
                 return _execute(supervisor.arm(task, chunk_index))
             except Exception:
                 if supervisor.strict:
                     raise  # today's fail-fast: the original traceback
-                detail = traceback.format_exc()
-                if not supervisor.record_failure(task.spec.walk_id):
-                    return ChunkFailure(
-                        walk_id=task.spec.walk_id,
-                        reason="error",
-                        detail=detail,
-                        attempts=supervisor.attempts(task.spec.walk_id),
-                    )
+                failure = resolve_chunk_failure(
+                    supervisor, task, chunk_index, "error",
+                    traceback.format_exc(), self._requeue, self._incident,
+                )
+                if failure is not None:
+                    return failure
+
+    def _requeue(self, task: ChunkTask, chunk_index: int) -> None:
+        # the retry runs next, ahead of every other queued chunk
+        self._queue.appendleft((task, chunk_index))
 
     def close(self) -> None:
         self._queue.clear()
@@ -815,7 +823,7 @@ class PortfolioRunner:
                 recorder=self._recorder,
             )
         else:
-            executor = _InlineExecutor(supervisor)
+            executor = _InlineExecutor(supervisor, self._incident)
         started = time.perf_counter()
         try:
             with self._recorder.span("portfolio.walks", policy=self._policy):

@@ -33,7 +33,9 @@ Modules
 ``incremental``
     The dirty-suffix engine on top of the kernel: checkpointed skyline,
     partial repack from the earliest perturbed pre-order position, and
-    the propose -> commit/rollback protocol the annealer drives.
+    the propose -> commit/rollback protocol the annealer drives; with
+    ``FlatBStarEngine``, the set-up and committed state that every
+    flat B*-tree engine (the vector tier's included) shares.
 ``vector``
     The array-native tier below that: flat numpy coordinate/pin tables,
     batched multi-candidate proposal (``propose_batch``/``accept``/

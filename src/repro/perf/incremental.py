@@ -32,6 +32,7 @@ proposal overwrote.  Costs are bit-identical to a full
 the same state (see ``tests/perf/``);
 :class:`FullRepackBStarEngine` is the same protocol with full
 re-evaluation, used to lock that equivalence over whole annealing runs.
+Both, and the vector tier's engine, build on :class:`FlatBStarEngine`.
 """
 
 from __future__ import annotations
@@ -50,15 +51,99 @@ if TYPE_CHECKING:  # pragma: no cover
 _INF = float("inf")
 
 
-def _perturb_module():
-    # Imported lazily: repro.perf must stay importable without pulling
-    # in repro.bstar (whose placers import repro.perf right back).
-    from ..bstar import perturb
+class FlatBStarEngine:
+    """Set-up and committed state shared by the flat B*-tree engines:
+    the move object, the kernel and its footprint table, and the
+    committed tree, packing and cost.  Each engine adds its own
+    ``reset`` after :meth:`_adopt`, and its own propose / commit /
+    rollback path.
+    """
 
-    return perturb
+    #: move class in :mod:`repro.bstar.perturb` this engine draws from
+    _MOVES = "InPlaceBStarMoves"
+
+    def __init__(
+        self,
+        modules: ModuleSet,
+        nets: tuple[Net, ...] = (),
+        proximity: tuple[ProximityGroup, ...] = (),
+        config=None,
+        *,
+        allow_rotation: bool = True,
+        stride: int | None = None,
+        kernel: BStarKernel | None = None,
+    ) -> None:
+        if config is None:
+            raise ValueError(f"{type(self).__name__} requires a cost config")
+        # deferred: repro.perf must stay importable without pulling in
+        # repro.bstar (whose placers import repro.perf right back)
+        from ..bstar import perturb
+
+        self._state_cls = perturb.BStarState
+        self._moves = getattr(perturb, self._MOVES)(
+            modules, allow_rotation=allow_rotation
+        )
+        # share the kernel's footprint tables and its unified cost
+        # model.  A placer may hand in its kernel: engines never touch
+        # its skyline
+        self._kernel = kernel or BStarKernel(modules, nets, proximity, config)
+        self._footprints = self._kernel._footprints
+        self._stride = max(1, stride or default_stride(len(modules)))
+        self._sky = Skyline()
+
+        # committed state (mutable, owned by the engine)
+        self._tree = None
+        self._orients: dict[str, Orientation] = {}
+        self._variants: dict[str, int] = {}
+        self._sizes: dict[str, tuple[float, float]] = {}
+        self._coords: Coords = {}
+        self._order: list[str] = []
+        self._pos: dict[str, int] = {}
+        self._ckpts: list = []
+        self._cost = _INF
+
+    # -- setup ---------------------------------------------------------------
+
+    def initial_state(self, rng: random.Random) -> BStarState:
+        return self._moves.initial_state(rng)
+
+    def initial_cost(self) -> float:
+        return self._cost
+
+    def snapshot(self) -> BStarState:
+        """An immutable copy of the current state (best tracking)."""
+        return self._state_cls(
+            tree=self._tree.clone(),
+            orientations=dict(self._orients),
+            variants=dict(self._variants),
+        )
+
+    # -- shared internals ----------------------------------------------------
+
+    def _adopt(self, state: BStarState) -> None:
+        """Copy ``state`` into mutable form, with empty packing caches
+        (the common prefix of every ``reset``; the caller packs)."""
+        self._tree = state.tree.clone()
+        self._orients = dict(state.orientations)
+        self._variants = dict(state.variants)
+        self._sizes = dict(
+            self._kernel.resolved_sizes(self._orients, self._variants)
+        )
+        n = len(self._tree)
+        self._order = [""] * n
+        self._pos = {}
+        self._coords = {}
+        n_slots = ((n - 1) // self._stride + 1) if n else 1
+        self._ckpts = [Skyline().snapshot()] * n_slots
+
+    def _footprint(self, name: str) -> tuple[float, float]:
+        """``name``'s (w, h) under its current variant and orientation."""
+        return self._footprints[name][self._variants.get(name, 0)][
+            self._orients.get(name, Orientation.R0)
+        ]
 
 
-class IncrementalBStarEngine:
+class IncrementalBStarEngine(FlatBStarEngine):
     """Incremental pack-and-cost engine for flat B*-tree annealing.
 
     Implements the :class:`repro.anneal.IncrementalEngine` protocol.
@@ -91,31 +176,12 @@ class IncrementalBStarEngine:
         stride: int | None = None,
         kernel: BStarKernel | None = None,
     ) -> None:
-        if config is None:
-            raise ValueError("IncrementalBStarEngine requires a cost config")
-        perturb = _perturb_module()
-        self._state_cls = perturb.BStarState
-        self._moves = perturb.InPlaceBStarMoves(modules, allow_rotation=allow_rotation)
-        # share the kernel's footprint tables and its unified cost
-        # model (same package, same tier); the evaluator is this
-        # engine's delta-capable session over that model.  A placer
-        # may hand in its kernel: engines never touch its skyline
-        self._kernel = kernel or BStarKernel(modules, nets, proximity, config)
+        super().__init__(
+            modules, nets, proximity, config,
+            allow_rotation=allow_rotation, stride=stride, kernel=kernel,
+        )
+        # this engine's delta-capable session over the kernel's model
         self._eval = self._kernel.model.evaluator()
-        self._footprints = self._kernel._footprints
-        self._stride = max(1, stride or default_stride(len(modules)))
-        self._sky = Skyline()
-
-        # current state (mutable, owned by the engine)
-        self._tree = None
-        self._orients: dict[str, Orientation] = {}
-        self._variants: dict[str, int] = {}
-        self._sizes: dict[str, tuple[float, float]] = {}
-        self._coords: Coords = {}
-        self._order: list[str] = []
-        self._pos: dict[str, int] = {}
-        self._ckpts: list = []
-        self._cost = _INF
 
         # pending-proposal undo state.  `order`/`pos` describe the
         # *committed* state only: a proposal keeps the repacked
@@ -132,33 +198,14 @@ class IncrementalBStarEngine:
         self._ckpt_log: list = []
         self._moved: list[str] = []
 
-    # -- setup ---------------------------------------------------------------
-
-    def initial_state(self, rng: random.Random) -> BStarState:
-        return self._moves.initial_state(rng)
-
     def reset(self, state: BStarState) -> float:
         """Adopt ``state`` (copied into mutable form); return its cost."""
-        self._tree = state.tree.clone()
-        self._orients = dict(state.orientations)
-        self._variants = dict(state.variants)
-        self._sizes = dict(
-            self._kernel.resolved_sizes(self._orients, self._variants)
-        )
-        n = len(self._tree)
-        self._order = [""] * n
-        self._pos = {}
-        self._coords = {}
-        n_slots = ((n - 1) // self._stride + 1) if n else 1
-        self._ckpts = [Skyline().snapshot()] * n_slots
+        self._adopt(state)
         self._repack_suffix(0)
         self._order[:] = self._new_suffix
-        self._pos.update(zip(self._order, range(n)))
+        self._pos.update(zip(self._order, range(len(self._order))))
         self._cost = self._eval.reset(self._coords, bounding=self._sky_bounding())
         self._clear_pending()
-        return self._cost
-
-    def initial_cost(self) -> float:
         return self._cost
 
     # -- protocol ------------------------------------------------------------
@@ -179,9 +226,7 @@ class IncrementalBStarEngine:
             return self._cost
         if kind == "rotate" or kind == "reshape":
             name = rec.a
-            wh = self._footprints[name][self._variants.get(name, 0)][
-                self._orients.get(name, Orientation.R0)
-            ]
+            wh = self._footprint(name)
             old_wh = self._sizes[name]
             if wh == old_wh:
                 # size-neutral move (square rotate, same-footprint
@@ -246,14 +291,6 @@ class IncrementalBStarEngine:
                 ckpts[slot] = snap
             self._eval.rollback()
         self._clear_pending()
-
-    def snapshot(self) -> BStarState:
-        """An immutable copy of the current state (best tracking)."""
-        return self._state_cls(
-            tree=self._tree.clone(),
-            orientations=dict(self._orients),
-            variants=dict(self._variants),
-        )
 
     def cost_breakdown(self) -> dict[str, float]:
         """Per-term weighted contributions of the *committed* state.
@@ -325,7 +362,7 @@ class IncrementalBStarEngine:
             ckpts[slot] = snap
 
 
-class FullRepackBStarEngine:
+class FullRepackBStarEngine(FlatBStarEngine):
     """The same protocol and random draws, evaluated by full repack.
 
     Twin of :class:`IncrementalBStarEngine` that packs the whole tree
@@ -353,30 +390,15 @@ class FullRepackBStarEngine:
         *,
         allow_rotation: bool = True,
     ) -> None:
-        if config is None:
-            raise ValueError("FullRepackBStarEngine requires a cost config")
-        perturb = _perturb_module()
-        self._state_cls = perturb.BStarState
-        self._moves = perturb.InPlaceBStarMoves(modules, allow_rotation=allow_rotation)
-        self._kernel = BStarKernel(modules, nets, proximity, config)
-        self._tree = None
-        self._orients: dict[str, Orientation] = {}
-        self._variants: dict[str, int] = {}
-        self._cost = _INF
+        super().__init__(
+            modules, nets, proximity, config, allow_rotation=allow_rotation
+        )
         self._pending_cost = _INF
         self._rec = None
 
-    def initial_state(self, rng: random.Random) -> BStarState:
-        return self._moves.initial_state(rng)
-
     def reset(self, state: BStarState) -> float:
-        self._tree = state.tree.clone()
-        self._orients = dict(state.orientations)
-        self._variants = dict(state.variants)
+        self._adopt(state)
         self._cost = self._kernel.cost(self._tree, self._orients, self._variants)
-        return self._cost
-
-    def initial_cost(self) -> float:
         return self._cost
 
     def propose(self, rng: random.Random) -> float:
@@ -396,13 +418,6 @@ class FullRepackBStarEngine:
     def rollback(self) -> None:
         self._moves.undo(self._tree, self._orients, self._variants, self._rec)
         self._rec = None
-
-    def snapshot(self) -> BStarState:
-        return self._state_cls(
-            tree=self._tree.clone(),
-            orientations=dict(self._orients),
-            variants=dict(self._variants),
-        )
 
     def cost_breakdown(self) -> dict[str, float]:
         """Per-term contributions of the committed state (full repack)."""

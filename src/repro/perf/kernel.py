@@ -437,12 +437,6 @@ class BStarKernel:
             raise ValueError("BStarKernel was built without a cost config")
         return self._cost_model(self.pack(tree, orientations, variants))
 
-    def cost_of(self, coords: Coords) -> float:
-        """Evaluate an already-packed coordinate table."""
-        if self._cost_model is None:
-            raise ValueError("BStarKernel was built without a cost config")
-        return self._cost_model(coords)
-
     def placement(
         self,
         tree,

@@ -79,8 +79,9 @@ from ..cost.terms import (
     OutlineTerm,
     ProximityTerm,
 )
-from ..geometry import ModuleSet, Net, Orientation
-from .kernel import BStarKernel, Skyline, default_stride, pack_suffix
+from ..geometry import ModuleSet, Net
+from .incremental import FlatBStarEngine
+from .kernel import BStarKernel, pack_suffix
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..bstar.perturb import BStarState
@@ -94,18 +95,14 @@ _INF = float("inf")
 #: best on the steps/s-vs-quality frontier at n=1000 (see docs/perf.md)
 _WINDOW_BIAS = 2.5
 
+#: smallest suffix a windowed move draws: the window length is
+#: log-uniform in ``[_WINDOW_MIN, n]``
+_WINDOW_MIN = 8
+
 #: term classes the vectorized pass can feed (everything else —
 #: e.g. the boundary-tier ViolationTerm — needs inputs the hot loop
 #: cannot provide, exactly as in the scalar engines)
 _SUPPORTED_TERMS = (AreaTerm, HPWLTerm, AspectTerm, OutlineTerm, ProximityTerm)
-
-
-def _perturb_module():
-    # Imported lazily: repro.perf must stay importable without pulling
-    # in repro.bstar (whose placers import repro.perf right back).
-    from ..bstar import perturb
-
-    return perturb
 
 
 class BatchCostEvaluator:
@@ -123,6 +120,14 @@ class BatchCostEvaluator:
 
     def __init__(self, model: CostModel, names: Sequence[str]) -> None:
         reason = self.unsupported_reason(model)
+        if reason is None and any(
+            isinstance(t, ProximityTerm) and t.groups and t.active
+            for t in model.terms
+        ):
+            reason = (
+                "active proximity groups have no array form (the scalar "
+                "evaluator and IncrementalBStarEngine serve them)"
+            )
         if reason:
             raise ValueError(f"model not vectorizable: {reason}")
         self._model = model
@@ -132,10 +137,6 @@ class BatchCostEvaluator:
         resolved = term.resolved if term is not None else []
         self._n_nets = len(resolved)
         self._tables = pin_index_tables(resolved, self._names)
-        self._needs_coords = any(
-            isinstance(t, ProximityTerm) and t.groups and t.active
-            for t in model.terms
-        )
 
     @staticmethod
     def unsupported_reason(model: CostModel) -> str | None:
@@ -148,10 +149,6 @@ class BatchCostEvaluator:
                     "annealing hot loops)"
                 )
         return None
-
-    @property
-    def model(self) -> CostModel:
-        return self._model
 
     def batch_hpwl(self, cx, cy):
         """Weighted HPWL of K candidates; ``(K, n)`` centers -> ``(K,)``.
@@ -169,20 +166,8 @@ class BatchCostEvaluator:
         cx,
         cy,
         boundings: Sequence[tuple[float, float, float, float]],
-        coords_list=None,
     ) -> list[float]:
-        """Total cost per candidate, in the model's own term order.
-
-        ``coords_list`` (one table per candidate) is required only when
-        the model carries active proximity groups — the single term
-        whose geometry test has no array form; every standard flat-
-        placer model passes empty groups and never needs it.
-        """
-        if self._needs_coords and coords_list is None:
-            raise ValueError(
-                "model has active proximity groups: per-candidate coords "
-                "are required (pass coords_list)"
-            )
+        """Total cost per candidate, in the model's own term order."""
         k = cx.shape[0]
         if self._n_nets and self._wl_active:
             hpwls = self.batch_hpwl(cx, cy).tolist()
@@ -194,14 +179,7 @@ class BatchCostEvaluator:
             hpwls = [None] * k
         evaluate = self._model.evaluate
         empty = self._EMPTY
-        return [
-            evaluate(
-                coords_list[j] if coords_list is not None else empty,
-                hpwls[j],
-                boundings[j],
-            )
-            for j in range(k)
-        ]
+        return [evaluate(empty, hpwls[j], boundings[j]) for j in range(k)]
 
 
 class _Candidate:
@@ -227,7 +205,7 @@ class _Candidate:
         self.cost = _INF
 
 
-class VectorBStarEngine:
+class VectorBStarEngine(FlatBStarEngine):
     """Batched array-native B*-tree engine (vector tier).
 
     Implements the :class:`repro.anneal.IncrementalEngine` protocol
@@ -252,6 +230,8 @@ class VectorBStarEngine:
     default so untraced runs skip the per-batch list builds.
     """
 
+    _MOVES = "WindowedBStarMoves"
+
     #: set by the annealer when a recorder is attached
     collect_stats = False
     #: per-candidate move families of the most recent batch
@@ -271,54 +251,28 @@ class VectorBStarEngine:
         evaluator: str = "vector",
         kernel: BStarKernel | None = None,
     ) -> None:
-        if config is None:
-            raise ValueError("VectorBStarEngine requires a cost config")
         if evaluator not in ("vector", "scalar"):
             raise ValueError(f"unknown evaluator {evaluator!r}")
-        perturb = _perturb_module()
-        self._state_cls = perturb.BStarState
-        self._moves = perturb.WindowedBStarMoves(
-            modules, allow_rotation=allow_rotation
+        super().__init__(
+            modules, nets, proximity, config,
+            allow_rotation=allow_rotation, stride=stride, kernel=kernel,
         )
-        # a placer may hand in its kernel: engines never touch its skyline
-        self._kernel = kernel or BStarKernel(modules, nets, proximity, config)
         model = self._kernel.model
-        self._model = model
         self._names = tuple(modules.names())
         self._row = {name: i for i, name in enumerate(self._names)}
         self._n = len(self._names)
-        self._footprints = self._kernel._footprints
-        self._stride = max(1, stride or default_stride(self._n))
-        self._window_min = max(2, int(getattr(config, "vector_window_min", 8)))
-        self._sky = Skyline()
-        self._scalar_eval = evaluator == "scalar"
-        if self._scalar_eval:
+        if evaluator == "scalar":
             self._batch_eval = None
             reason = BatchCostEvaluator.unsupported_reason(model)
             if reason:
                 raise ValueError(f"vector tier cannot serve this model: {reason}")
         else:
             self._batch_eval = BatchCostEvaluator(model, self._names)
-            if self._batch_eval._needs_coords:
-                raise ValueError(
-                    "the vector engine does not evaluate proximity groups; "
-                    "use IncrementalBStarEngine for proximity-constrained "
-                    "objectives"
-                )
 
-        # committed state (mutable, owned by the engine)
-        self._tree = None
-        self._orients: dict[str, Orientation] = {}
-        self._variants: dict[str, int] = {}
-        self._sizes: dict[str, tuple[float, float]] = {}
-        self._coords: dict[str, tuple[float, float, float, float]] = {}
-        self._order: list[str] = []
-        self._pos: dict[str, int] = {}
-        self._ckpts: list = []
+        # committed centers (row order of `_names`) and bounding box
         self._base_cx = np.zeros(self._n, dtype=np.float64)
         self._base_cy = np.zeros(self._n, dtype=np.float64)
         self._bounding = (0.0, 0.0, 0.0, 0.0)
-        self._cost = _INF
 
         # pending batch
         self._cands: list[_Candidate] | None = None
@@ -328,32 +282,15 @@ class VectorBStarEngine:
 
     # -- setup ---------------------------------------------------------------
 
-    def initial_state(self, rng: random.Random) -> BStarState:
-        return self._moves.initial_state(rng)
-
     def reset(self, state: BStarState) -> float:
         """Adopt ``state`` (copied into mutable form); return its cost."""
         self._cands = None
-        self._tree = state.tree.clone()
-        self._orients = dict(state.orientations)
-        self._variants = dict(state.variants)
-        self._sizes = dict(
-            self._kernel.resolved_sizes(self._orients, self._variants)
-        )
-        n = self._n
-        n_slots = ((n - 1) // self._stride + 1) if n else 1
-        self._ckpts = [Skyline().snapshot()] * n_slots
-        self._order = [""] * n
-        self._coords = {}
-        self._pos = {}
+        self._adopt(state)
         cand = _Candidate("repack")
         cand.k = 0
         self._pack_suffix(0, cand)
         self._install(cand)
         self._cost = self._evaluate([cand])[0]
-        return self._cost
-
-    def initial_cost(self) -> float:
         return self._cost
 
     # -- batch protocol ------------------------------------------------------
@@ -426,20 +363,12 @@ class VectorBStarEngine:
     def rollback(self) -> None:
         self.reject_all()
 
-    def snapshot(self) -> BStarState:
-        """An immutable copy of the current state (best tracking)."""
-        return self._state_cls(
-            tree=self._tree.clone(),
-            orientations=dict(self._orients),
-            variants=dict(self._variants),
-        )
-
     def cost_breakdown(self) -> dict[str, float]:
         """Per-term contributions of the committed state (reporting
         tier — full scalar rescan, chunk boundaries only)."""
         if self._cands is not None:
             raise RuntimeError("previous batch not accepted or rejected")
-        return self._model.breakdown(self._coords, bounding=self._bounding)
+        return self._kernel.model.breakdown(self._coords, bounding=self._bounding)
 
     # -- internals -----------------------------------------------------------
 
@@ -448,7 +377,7 @@ class VectorBStarEngine:
         n = self._n
         order = self._order
         lo = 0
-        wmin = self._window_min
+        wmin = _WINDOW_MIN
         if n > wmin:
             # log-uniform suffix length in [wmin, n] (biased short):
             # cheap local windows dominate, global moves still sampled
@@ -469,9 +398,7 @@ class VectorBStarEngine:
         if kind == "rotate" or kind == "reshape":
             name = rec.a
             new_value = orients[name] if kind == "rotate" else variants[name]
-            wh = self._footprints[name][variants.get(name, 0)][
-                orients.get(name, Orientation.R0)
-            ]
+            wh = self._footprint(name)
             old_wh = self._sizes[name]
             if wh == old_wh:
                 # size-neutral (square rotate / same-footprint variant):
@@ -497,8 +424,8 @@ class VectorBStarEngine:
 
     def _evaluate(self, live: list[_Candidate]) -> list[float]:
         """Score packed candidates (vectorized, or the scalar oracle)."""
-        if self._scalar_eval:
-            evaluate = self._model.evaluate
+        if self._batch_eval is None:
+            evaluate = self._kernel.model.evaluate
             out = []
             for cand in live:
                 coords = dict(self._coords)

@@ -17,8 +17,8 @@ import random
 from typing import Iterable, Mapping, Sequence
 
 from ..circuit import SymmetryGroup
-from ..geometry import ModuleSet, Orientation, PlacedModule, Placement, Rect
-from .packing import _footprints, pack_lcs, pack_lcs_coords
+from ..geometry import ModuleSet, Orientation, Placement
+from .packing import _footprints, _to_placement, pack_lcs, pack_lcs_coords
 from .seqpair import SequencePair
 
 
@@ -393,17 +393,4 @@ def pack_symmetric(
         max_iterations=max_iterations,
         tol=tol,
     )
-    placed = []
-    for name in sp.names:
-        w, h = sizes[name]
-        orient = orientations.get(name, Orientation.R0) if orientations else Orientation.R0
-        variant = variants.get(name, 0) if variants else 0
-        placed.append(
-            PlacedModule(
-                modules[name],
-                Rect.from_size(xs[name], ys[name], w, h),
-                variant=variant,
-                orientation=orient,
-            )
-        )
-    return Placement.of(placed)
+    return _to_placement(sp, modules, xs, ys, sizes, orientations, variants)

@@ -9,10 +9,6 @@ Public surface of the telemetry subsystem (see
   default; disabled runs pay ~zero cost.
 * :class:`TraceConfig` — plain-data settings safe to ship to worker
   processes (carried on ``ChunkTask``).
-* :func:`set_default_recorder` / :func:`get_default_recorder` /
-  :func:`active_mode` — a process-wide default used by benchmark
-  provenance stamping (``benchmarks/bench_perf_kernel.py`` records the
-  active mode in every trajectory entry).
 """
 
 from __future__ import annotations
@@ -35,30 +31,4 @@ __all__ = [
     "TRACE_SCHEMA",
     "TraceConfig",
     "TraceRecorder",
-    "active_mode",
-    "get_default_recorder",
-    "set_default_recorder",
 ]
-
-_default = NULL_RECORDER
-
-
-def set_default_recorder(recorder) -> None:
-    """Install the process-wide default recorder (``None`` resets)."""
-    global _default
-    _default = recorder if recorder is not None else NULL_RECORDER
-
-
-def get_default_recorder():
-    """The process-wide default recorder (the null recorder unless a
-    run installed one)."""
-    return _default
-
-
-def active_mode() -> str:
-    """The process's telemetry mode: ``"off"`` or ``"sampled"``.
-
-    Stamped into benchmark trajectory entries so recorded steps/s are
-    never silently compared across telemetry modes.
-    """
-    return "sampled" if _default.enabled else "off"

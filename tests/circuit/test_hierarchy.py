@@ -31,6 +31,18 @@ class TestStructure:
     def test_walk_preorder(self, tree):
         assert [n.name for n in tree.walk()] == ["TOP", "CORE", "DP", "CM"]
 
+    def test_walk_any_depth(self):
+        """A chain deeper than the recursion limit walks in pre-order."""
+        node = HierarchyNode("n0")
+        root = node
+        for i in range(1, 3000):
+            child = HierarchyNode(f"n{i}", children=[HierarchyNode(f"leaf{i}")])
+            node.children.insert(0, child)
+            node = child
+        expected = [f"n{i}" for i in range(3000)]
+        expected += [f"leaf{i}" for i in range(2999, 0, -1)]
+        assert [n.name for n in root.walk()] == expected
+
     def test_leaves(self, tree):
         assert {n.name for n in tree.leaves()} == {"DP", "CM"}
 

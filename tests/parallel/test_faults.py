@@ -123,6 +123,23 @@ class TestRetryAndQuarantine:
         assert board(faulted) == board(base)
         assert not faulted.failures
 
+    def test_serial_retry_is_accounted_like_a_worker_retry(self):
+        """An inline retry raises the same ``retry`` incident as a
+        worker-process one: the run, its events and the retried walk's
+        row each count it once."""
+        base = run_portfolio(starts=4)
+        events = []
+        faulted = run_portfolio(
+            starts=4,
+            on_event=events.append,
+            fault_plan=FaultPlan([Fault(2, 0, "raise")]),
+        )
+        assert board(faulted) == board(base)
+        assert faulted.retries == 1
+        assert [e.walk_id for e in events if e.status == "retry"] == [2]
+        assert [o.retries for o in faulted.leaderboard if o.spec.walk_id == 2] == [1]
+        assert "1 chunk retry" in faulted.summary()
+
     def test_deterministic_fault_quarantines_the_walk(self):
         base = run_portfolio(starts=4)
         result = run_portfolio(

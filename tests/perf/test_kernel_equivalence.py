@@ -178,11 +178,16 @@ class TestFlatKernel:
         placer = BStarPlacer(small_modules, config=config)
         reference = _legacy_object_cost(small_modules, (), (), config)
         rng = random.Random(0)
-        state = placer._moves.initial_state(rng)
+        engine = placer.engine()
+        engine.reset(placer.initial_state(rng))
         for _ in range(25):
+            # every proposal is committed: moved, swapped and rotated
+            # states are all costed
+            state = engine.snapshot()
             packed = pack(state.tree, small_modules, state.orientations, state.variants)
             assert placer.cost(state) == reference(packed)
-            state = placer._moves.propose(state, rng)
+            engine.propose(rng)
+            engine.commit()
 
 
 class TestSkylineAndContour:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from repro.perf import (
     VectorBStarEngine,
     pack_tree_coords,
     placement_to_coords,
+    vector,
 )
 from repro.perf.kernel import default_stride, pack_suffix
 
@@ -135,17 +137,19 @@ class TestAgainstObjectTier:
     )
     def test_vector_engine_committed_table(self, mods, seed, stride):
         rng = random.Random(seed)
-        config = BStarPlacerConfig(wirelength_weight=0.5, vector_window_min=2)
+        config = BStarPlacerConfig(wirelength_weight=0.5)
         engine = VectorBStarEngine(mods, _nets(mods.names(), rng), (), config,
                                    stride=stride)
         engine.reset(engine.initial_state(rng))
-        for _ in range(30):
-            costs = engine.propose_batch(rng, rng.randint(1, 4))
-            if rng.random() < 0.6:
-                engine.accept(rng.randrange(len(costs)))
-            else:
-                engine.reject_all()
-            assert engine._coords == _object_coords(mods, engine.snapshot())
+        # a 2-slot window floor, so small sets draw windowed moves too
+        with mock.patch.object(vector, "_WINDOW_MIN", 2):
+            for _ in range(30):
+                costs = engine.propose_batch(rng, rng.randint(1, 4))
+                if rng.random() < 0.6:
+                    engine.accept(rng.randrange(len(costs)))
+                else:
+                    engine.reject_all()
+                assert engine._coords == _object_coords(mods, engine.snapshot())
 
 
 class TestGeneralSplice:

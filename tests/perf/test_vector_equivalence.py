@@ -22,6 +22,7 @@ scalar oracle; quality versus the incremental tier is tracked by the
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,7 @@ from repro.perf import (
     IncrementalBStarEngine,
     VectorBStarEngine,
     bounding_of,
+    vector,
 )
 
 from tests.strategies import mixed_module_sets
@@ -279,16 +281,16 @@ class TestVectorBStarEngine:
         rng = random.Random(seed)
         names = mods.names()
         nets = _random_nets(names, rng)
-        config = BStarPlacerConfig(
-            wirelength_weight=0.7, aspect_weight=0.2, vector_window_min=4
-        )
+        config = BStarPlacerConfig(wirelength_weight=0.7, aspect_weight=0.2)
         vec = VectorBStarEngine(mods, nets, (), config)
         oracle = VectorBStarEngine(mods, nets, (), config, evaluator="scalar")
         kernel = BStarKernel(mods, nets, (), config)
         model = model_for_config(mods, nets, (), config)
         init = vec.initial_state(rng)
         assert vec.reset(init) == oracle.reset(init)
-        _walk_batched(vec, oracle, 40, seed ^ 0x5A5A, kernel, model)
+        # a 4-slot window floor, so 5-14-module sets draw windowed moves
+        with mock.patch.object(vector, "_WINDOW_MIN", 4):
+            _walk_batched(vec, oracle, 40, seed ^ 0x5A5A, kernel, model)
         vec._tree.validate()
 
     @settings(max_examples=20, deadline=None)
@@ -325,6 +327,8 @@ class TestVectorBStarEngine:
         )
         group = ProximityGroup("g", ("m0", "m1"))
         config = BStarPlacerConfig()
+        with pytest.raises(ValueError, match="proximity"):
+            BatchCostEvaluator(model_for_config(mods, (), (group,), config), mods.names())
         with pytest.raises(ValueError, match="proximity"):
             VectorBStarEngine(mods, (), (group,), config)
         oracle = VectorBStarEngine(mods, (), (group,), config, evaluator="scalar")
