@@ -1,20 +1,21 @@
-"""Vector tier — array-native annealing steps/sec vs the incremental engine.
+"""Vector tier — windowed-walk annealing steps/sec vs the incremental engine.
 
 PR-3's incremental engine made each step proportional to what a move
 changed; the vector tier (:class:`repro.perf.VectorBStarEngine` driven
-by :class:`repro.anneal.BatchedAnnealer`) makes the *evaluation* of a
-step array-native: flat numpy coordinate tables, CSR net->pin indices,
-windowed multi-scale moves and batched multi-candidate proposals.  This
-benchmark measures what that buys, and proves it changes nothing else:
+by :class:`repro.anneal.BatchedAnnealer`) runs the same in-place step
+(dirty-suffix repack, delta cost, wirelength kept in numpy arrays on
+large designs) over windowed multi-scale moves, whose log-uniform
+suffix windows make most repacks short.  This benchmark measures what
+that buys, and proves the tier's evaluation changes nothing else:
 
 * drives the vector engine and the incremental engine through the same
   walk API (begin/advance — the portfolio execution path) and reports
   steps/sec for both plus the ratio;
 * replays the *identical* vector-tier walk (same seed, same batched
-  driver) with the engine's **scalar oracle** evaluator — plain-float
-  per-candidate evaluation through the unified
+  driver) with the engine's **scalar oracle** evaluator — a full
+  plain-float evaluation of every candidate through the unified
   :class:`~repro.cost.CostModel` — and asserts the best costs are
-  byte-identical: the numpy path is an equal-answers fast path, not a
+  byte-identical: the delta path is an equal-answers fast path, not a
   different algorithm;
 * the full tier measures 1,000 modules end to end (the ``>= 5x``
   acceptance point) and a step-capped 10,000-module run, past the

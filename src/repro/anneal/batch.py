@@ -8,10 +8,9 @@
     reject_all()                           # drop the whole batch, O(1)
 
 Each kernel call proposes K candidate moves off the same committed
-state and scores them in one vectorized pass (see
-:class:`repro.perf.vector.VectorBStarEngine`); the driver then scans
-the batch in order and Metropolis-tests each candidate exactly as the
-scalar loop would: candidate ``j`` is judged at the temperature of
+state and scores them (see :class:`repro.perf.vector.VectorBStarEngine`);
+the driver then scans the batch in order and Metropolis-tests each
+candidate exactly as the scalar loop would: candidate ``j`` is judged at the temperature of
 schedule step ``step + j``, downhill moves accept outright, uphill
 moves take one acceptance draw.  The **first acceptance wins** — the
 remaining candidates are discarded untested, because accepting changes
@@ -23,7 +22,12 @@ counters and sampled costs aligned with the scalar drivers' semantics.
 The batch width adapts to the measured acceptance ratio: near-certain
 acceptance makes batching pure waste (only candidate 0 ever survives),
 so K tracks the expected number of trials per acceptance, clamped to
-``batch_max``.  The width is derived *only* from checkpoint-carried
+``batch_max``.  A second candidate therefore needs the walk's
+acceptance so far to fall below about 1/3
+(``(step + 2) // (accepted + 1) >= 3``), and none of the measured
+walks got there: perfbench's ``vector`` walk and full-schedule vector
+walks on ``gen:n=200``, ``300`` and ``1000`` (walk seed 3) all ran one
+candidate per tile, ending at 55%, 38% and 69% acceptance.  The width is derived *only* from checkpoint-carried
 state (step count and acceptance count), never from wall-clock or
 loop-local history — so chunked ``advance`` calls replay the identical
 tile sequence and remain bit-identical to one monolithic run, the same
@@ -63,7 +67,8 @@ class BatchEngine(Protocol):
 
     def snapshot(self) -> object:
         """An immutable copy of the committed state, which only
-        :meth:`accept` changes (candidates are packed off-state)."""
+        :meth:`accept` changes (a candidate still pending from
+        :meth:`propose_batch` is not part of it)."""
         ...
 
 
@@ -73,8 +78,8 @@ class BatchedAnnealer(IncrementalAnnealer):
     Drop-in replacement for :class:`~repro.anneal.IncrementalAnnealer`
     (same ``begin`` / ``advance`` / ``run`` surface, same checkpoint
     format, warmup runs through the engine's scalar protocol), but the
-    annealing loop is tiled: one ``propose_batch`` call per tile, one
-    vectorized scoring pass, first-acceptance-wins.
+    annealing loop is tiled: one ``propose_batch`` call per tile,
+    first-acceptance-wins.
 
     The best state is copied lazily.  After an improving accept it *is*
     the engine's committed state, which stays untouched until the next

@@ -41,9 +41,9 @@ class BStarPlacerConfig(AnnealConfig):
     aspect_weight: float = DEFAULT_WEIGHTS["aspect"]
     proximity_weight: float = DEFAULT_WEIGHTS["proximity"]
     target_aspect: float = DEFAULT_TARGET_ASPECT
-    #: opt into the array-native evaluation tier (flat placer only):
-    #: :class:`~repro.perf.VectorBStarEngine` + windowed moves, annealed
-    #: K candidates at a time by :class:`~repro.anneal.BatchedAnnealer`.
+    #: opt into the vector tier (flat placer only):
+    #: :class:`~repro.perf.VectorBStarEngine`'s windowed moves, annealed
+    #: by :class:`~repro.anneal.BatchedAnnealer`.
     #: A different move/draw family from the incremental engine — same
     #: objective, not the same trajectory (see ``docs/perf.md``).
     vector_tier: bool = False
@@ -86,7 +86,7 @@ class BStarPlacer(AnnealingPlacer[BStarState]):
     def engine(self):
         """A fresh annealing engine (call ``reset`` before annealing).
 
-        ``config.vector_tier`` selects the array-native
+        ``config.vector_tier`` selects the vector tier's
         :class:`~repro.perf.VectorBStarEngine` (imported on first use);
         the default is the dirty-suffix
         :class:`~repro.perf.IncrementalBStarEngine`.  Both reuse this
@@ -161,7 +161,7 @@ class HierarchicalPlacer(AnnealingPlacer[HBState]):
         if self._config.vector_tier:
             raise ValueError(
                 "vector_tier is flat-placer only: the HB*-tree forest "
-                "has no array-native engine (use engine 'bstar')"
+                "has no vector-tier engine (use engine 'bstar')"
             )
         return HBIncrementalEngine(self._hb, self._cost_model)
 

@@ -646,9 +646,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--vector-tier",
         action="store_true",
-        help="anneal on the array-native evaluation tier (engine bstar "
-        "only): vectorized cost + batched multi-candidate proposals; "
-        "a different move family, tuned for large module counts",
+        help="anneal on the vector tier (engine bstar only): windowed "
+        "multi-scale moves on the flat in-place step; a different move "
+        "family, tuned for large module counts",
     )
     portfolio = p.add_argument_group(
         "portfolio",

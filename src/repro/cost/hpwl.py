@@ -13,12 +13,13 @@ re-sums the per-net cache left to right in net order
 (:func:`~repro.geometry.ordered_sum`; from Python 3.12 builtin ``sum``
 compensates rounding and would not) — so the total stays bit identical
 to :func:`hpwl_of` while the per-step work shrinks to the
-perturbation's neighborhood.  When a move displaces most of the design
-it falls back to a numpy-vectorized batch recompute over degree-class
-pin tables (:func:`pin_index_tables`, :func:`batch_net_hpwl`:
-IEEE-identical per-net values, same summation order), which imports
-numpy when it first runs (see ``docs/perf.md``, "Set-up").
-It is the delta path behind :class:`repro.cost.HPWLTerm` and follows
+perturbation's neighborhood.  On designs of ``batch_min_nets`` nets or
+more it keeps the cache and the module centres in numpy arrays, and a
+move that affects more than a small share of the nets recomputes them
+all at once over degree-class pin tables (:func:`pin_index_tables`,
+:func:`batch_net_hpwl`: IEEE-identical per-net values, same summation
+order); smaller designs never import numpy (see ``docs/perf.md``,
+"Set-up").  It is the delta path behind :class:`repro.cost.HPWLTerm` and follows
 the same ``propose -> commit/rollback`` protocol as the annealing
 engines that drive it.
 
@@ -31,7 +32,8 @@ over the equivalent :class:`~repro.geometry.Placement` (see
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Collection, Iterable, NamedTuple, Sequence
 
 from ..geometry import ordered_sum
 
@@ -42,6 +44,13 @@ if TYPE_CHECKING:  # pragma: no cover - repro.perf imports back into this
 
 #: A net resolved against the placeable names: (weight, pin names).
 ResolvedNet = tuple[float, tuple[str, ...]]
+
+#: the net count below which :class:`DeltaHPWL`'s cut stops shrinking:
+#: a full recompute pays a fixed cost per degree class, so on a small
+#: design it beats the scalar path only past ``batch_fraction`` of this
+#: many affected nets (32 at the default fraction; tuned on generated
+#: designs of 200 to 5,000 modules, see ``docs/perf.md``)
+_CUT_NETS_FLOOR = 1600
 
 
 class PinClass(NamedTuple):
@@ -88,17 +97,22 @@ def pin_index_tables(
     tables = []
     for depth in sorted(classes):
         members = classes[depth]
-        rows = []
+        # one flat row-major list: numpy converts it much faster than
+        # a list per net
+        flat: list[int] = []
+        extend = flat.extend
         for i in members:
-            row = [index[p] for p in resolved[i][1]]
-            rows.append(row + row[:1] * (depth - len(row)))
+            pins = resolved[i][1]
+            extend(map(index.__getitem__, pins))
+            extend([index[pins[0]]] * (depth - len(pins)))
+        rows = np.array(flat, dtype=np.intp).reshape(len(members), depth)
         tables.append(
             PinClass(
                 pos=np.asarray(members, dtype=np.intp),
                 weights=np.asarray(
                     [resolved[i][0] for i in members], dtype=np.float64
                 ),
-                pins=np.asarray(rows, dtype=np.intp).T.copy(),
+                pins=rows.T.copy(),
             )
         )
     return tuple(tables)
@@ -226,11 +240,28 @@ class DeltaHPWL:
       table entry by entry (placers that repack into a fresh dict each
       step, e.g. the HB*-tree forest and sequence-pair loops).
 
-    When a proposal touches more than ``batch_fraction`` of the nets on
-    a design with at least ``batch_min_nets`` of them, the whole cache
-    is rebuilt through the numpy degree-class batch path instead
-    (:func:`batch_net_hpwl`; per-net values are IEEE-identical to the
-    scalar path, and the total is still summed in net order).
+    Each :meth:`reset` picks one of two stores for the cache:
+
+    * **a list** — below ``batch_min_nets`` nets, or when the table
+      misses a module; summed by :func:`~repro.geometry.ordered_sum`,
+      and numpy is never imported;
+    * **arrays** — from ``batch_min_nets`` nets on, over a complete
+      table: per-net values and module-centre arrays in numpy, kept
+      between steps.  A proposal that affects at most
+      ``batch_fraction`` of the nets (counted as at least
+      ``_CUT_NETS_FLOOR``) recomputes them on the scalar path and
+      writes them into the value array; a larger one recomputes every
+      net with :func:`batch_net_hpwl` over the centre arrays, into a
+      spare buffer that rollback swaps back.  Centre
+      rows are brought up to date only then: the names moved since the
+      last full recompute are kept in a set, and only their rows are
+      rewritten, from the table being scored (so a rollback never has
+      to restore a row: a rolled-back name just stays in the set).
+      The total is the last entry of a sequential ``cumsum``, equal to
+      ``ordered_sum`` bit for bit, and every per-net value is
+      IEEE-identical to the scalar path's.  Every key of an array-mode
+      table must be a module name, and a table complete at reset must
+      stay complete.
     """
 
     def __init__(
@@ -238,7 +269,7 @@ class DeltaHPWL:
         resolved: Sequence[ResolvedNet],
         names: Iterable[str],
         *,
-        batch_fraction: float = 0.5,
+        batch_fraction: float = 0.02,
         batch_min_nets: int = 192,
     ) -> None:
         self._resolved = list(resolved)
@@ -249,151 +280,199 @@ class DeltaHPWL:
         for i, (_w, pins) in enumerate(self._resolved):
             for pin in pins:
                 adj.setdefault(pin, []).append(i)
-        self._adj: dict[str, tuple[int, ...]] = {
-            name: tuple(nets) for name, nets in adj.items()
-        }
-        self._vals: list[float] = [0.0] * len(self._resolved)
+        self._adj = adj
+        #: per-net values in net order: a list, or a float64 array
+        self._vals = [0.0] * len(self._resolved)
         self._base: Coords | None = None
-        # pending-proposal undo state: per-net log, or a whole-list swap
-        self._log: list[tuple[int, float]] | None = None
-        self._swapped_out: list[float] | None = None
+        # the pending proposal's table (None: nothing pending) and its
+        # per-net undo: ``[(net, old)]`` in list mode; ``(nets, old
+        # values)``, or None after a full recompute, in array mode
         self._pending_base: Coords | None = None
-        # numpy batch state, built lazily on first batch recompute: the
-        # degree-class pin tables and a preallocated (n, 4) gather
-        # buffer reused across recomputes (rebuilding the array from a
-        # dict comprehension each time dominated the batch path's cost)
-        self._np_tables = None
-        self._np_buf = None
+        self._log = None
+        # array mode: pin tables and row index (built once), centres by
+        # row (None in list mode), names whose rows may be out of date,
+        # and the spare per-net buffer
+        self._tables = None
+        self._row: dict[str, int] | None = None
+        self._cx = None
+        self._cy = None
+        self._stale: set[str] = set()
+        self._spare = None
 
     # -- full recompute -----------------------------------------------------
 
     def reset(self, coords: Coords) -> float:
         """Rebuild the whole cache for ``coords`` and return the total."""
-        self._log = None
-        self._swapped_out = None
         self._pending_base = None
-        if self._batch_usable(coords) and len(self._resolved) >= self._batch_min_nets:
-            self._vals = self._batch_vals(coords)
-        else:
-            self._vals = [net_hpwl(w, pins, coords) for w, pins in self._resolved]
+        self._log = None
         self._base = coords
+        self._stale = set()
+        if (
+            len(self._resolved) >= self._batch_min_nets
+            and len(coords) >= len(self._names)
+        ):
+            return self._reset_arrays(coords)
+        self._cx = self._cy = self._spare = None
+        self._vals = [net_hpwl(w, pins, coords) for w, pins in self._resolved]
         return ordered_sum(self._vals)
 
     # -- propose / commit / rollback ---------------------------------------
 
-    def propose(self, coords: Coords, moved: Iterable[str] | None = None) -> float:
+    def propose(self, coords: Coords, moved: Collection[str] | None = None) -> float:
         """Update the cache for a candidate table; return the new total.
 
         Must be followed by :meth:`commit` or :meth:`rollback` before
         the next proposal.
         """
-        if self._log is not None or self._swapped_out is not None:
+        if self._pending_base is not None:
             raise RuntimeError("previous proposal not committed or rolled back")
-        adj_get = self._adj.get
-        affected: set[int] = set()
         if moved is None:
             base = self._base if self._base is not None else {}
             base_get = base.get
-            for name, entry in coords.items():
-                if base_get(name) != entry:
-                    nets = adj_get(name)
-                    if nets:
-                        affected.update(nets)
-        else:
-            for name in moved:
-                nets = adj_get(name)
-                if nets:
-                    affected.update(nets)
-        n_nets = len(self._resolved)
-        if (
-            n_nets >= self._batch_min_nets
-            and len(affected) > self._batch_fraction * n_nets
-            and self._batch_usable(coords)
-        ):
-            self._swapped_out = self._vals
-            self._vals = self._batch_vals(coords)
-        else:
-            log: list[tuple[int, float]] = []
-            vals = self._vals
-            resolved = self._resolved
-            get = coords.get
-            for i in affected:
-                weight, pins = resolved[i]
-                # inlined 2-pin fast path (the overwhelming majority);
-                # arithmetic identical to hpwl_of / net_hpwl
-                if len(pins) == 2:
-                    a = get(pins[0])
-                    b = get(pins[1])
-                    if a is None or b is None:
-                        new = 0.0
-                    else:
-                        ax0, ay0, ax1, ay1 = a
-                        bx0, by0, bx1, by1 = b
-                        cax = (ax0 + ax1) / 2.0
-                        cbx = (bx0 + bx1) / 2.0
-                        cay = (ay0 + ay1) / 2.0
-                        cby = (by0 + by1) / 2.0
-                        dx = cax - cbx if cax >= cbx else cbx - cax
-                        dy = cay - cby if cay >= cby else cby - cay
-                        new = weight * (dx + dy)
-                else:
-                    new = net_hpwl(weight, pins, coords)
-                old = vals[i]
-                if new != old:
-                    log.append((i, old))
-                    vals[i] = new
-            self._log = log
+            moved = [name for name, entry in coords.items() if base_get(name) != entry]
         self._pending_base = coords
-        return ordered_sum(self._vals)
+        if self._cx is None:
+            return self._propose_list(coords, moved)
+        return self._propose_arrays(coords, moved)
 
     def commit(self) -> None:
         """Keep the pending proposal (no-op when none is pending)."""
         if self._pending_base is not None:
             self._base = self._pending_base
-        self._log = None
-        self._swapped_out = None
         self._pending_base = None
+        self._log = None
 
     def rollback(self) -> None:
         """Restore the cache to the last committed proposal."""
-        if self._swapped_out is not None:
-            self._vals = self._swapped_out
-            self._swapped_out = None
-        elif self._log is not None:
-            vals = self._vals
-            for i, old in reversed(self._log):
-                vals[i] = old
-            self._log = None
+        if self._pending_base is None:
+            return
         self._pending_base = None
+        log = self._log
+        self._log = None
+        if self._cx is None:
+            vals = self._vals
+            for i, old in reversed(log):
+                vals[i] = old
+        elif log is None:
+            self._vals, self._spare = self._spare, self._vals
+        else:
+            nets, old = log
+            self._vals.put(nets, old)
 
     def total(self) -> float:
         """The cached total (same accumulation order as :func:`hpwl_of`)."""
+        if self._cx is not None:
+            return float(self._vals.cumsum()[-1])
         return ordered_sum(self._vals)
 
-    # -- numpy batch path ---------------------------------------------------
+    # -- internals ----------------------------------------------------------
 
-    def _batch_usable(self, coords: Coords) -> bool:
-        # the vectorized path indexes every module unconditionally, so it
-        # needs a complete coordinate table
-        return len(coords) >= len(self._names)
+    def _propose_list(self, coords: Coords, moved: Collection[str]) -> float:
+        """List mode: recompute the affected nets in place, logging each
+        value that changes."""
+        adj_get = self._adj.get
+        affected: set[int] = set()
+        for name in moved:
+            nets = adj_get(name)
+            if nets:
+                affected.update(nets)
+        log: list[tuple[int, float]] = []
+        vals = self._vals
+        resolved = self._resolved
+        get = coords.get
+        for i in affected:
+            weight, pins = resolved[i]
+            # inlined 2-pin fast path (the overwhelming majority);
+            # arithmetic identical to hpwl_of / net_hpwl
+            if len(pins) == 2:
+                a = get(pins[0])
+                b = get(pins[1])
+                if a is None or b is None:
+                    new = 0.0
+                else:
+                    ax0, ay0, ax1, ay1 = a
+                    bx0, by0, bx1, by1 = b
+                    cax = (ax0 + ax1) / 2.0
+                    cbx = (bx0 + bx1) / 2.0
+                    cay = (ay0 + ay1) / 2.0
+                    cby = (by0 + by1) / 2.0
+                    dx = cax - cbx if cax >= cbx else cbx - cax
+                    dy = cay - cby if cay >= cby else cby - cay
+                    new = weight * (dx + dy)
+            else:
+                new = net_hpwl(weight, pins, coords)
+            old = vals[i]
+            if new != old:
+                log.append((i, old))
+                vals[i] = new
+        self._log = log
+        return ordered_sum(vals)
 
-    def _batch_vals(self, coords: Coords) -> list[float]:
+    def _propose_arrays(self, coords: Coords, moved: Collection[str]) -> float:
+        """Array mode: the affected nets on the scalar path, or past the
+        cut every net at once over the (refreshed) centres."""
+        # collection stops at the cut: past it, every net is recomputed
+        limit = self._batch_fraction * max(len(self._resolved), _CUT_NETS_FLOOR)
+        adj_get = self._adj.get
+        affected: set[int] = set()
+        for name in moved:
+            nets = adj_get(name)
+            if nets:
+                affected.update(nets)
+                if len(affected) > limit:
+                    break
+        stale = self._stale
+        stale.update(moved)
+        if len(affected) > limit:
+            self._refresh_rows(coords)
+            # kept: those rows are stale again if this is rolled back
+            stale.update(moved)
+            spare = batch_net_hpwl(self._tables, self._cx, self._cy, self._spare)
+            self._spare = self._vals
+            self._vals = spare
+            return float(spare.cumsum()[-1])
+        nets = list(affected)
+        vals = self._vals
+        self._log = (nets, vals.take(nets))
+        vals.put(nets, [
+            net_hpwl(weight, pins, coords)
+            for weight, pins in map(self._resolved.__getitem__, nets)
+        ])
+        return float(vals.cumsum()[-1])
+
+    def _reset_arrays(self, coords: Coords) -> float:
+        """Enter array mode: every centre and net value from scratch."""
         import numpy as np
 
-        if self._np_tables is None:
-            self._np_tables = pin_index_tables(self._resolved, self._names)
-        arr = self._np_buf
-        if arr is None:
-            arr = self._np_buf = np.empty((len(self._names), 4), dtype=np.float64)
-        # gather through a flat python list into the preallocated
-        # buffer's flat view: measurably faster than materializing a
-        # fresh (n, 4) array from a dict comprehension every recompute
-        entries: list[float] = []
-        extend = entries.extend
-        for name in self._names:
-            extend(coords[name])
-        arr.reshape(-1)[:] = entries
-        cx = (arr[:, 0] + arr[:, 2]) / 2.0
-        cy = (arr[:, 1] + arr[:, 3]) / 2.0
-        vals = np.empty(len(self._resolved), dtype=np.float64)
-        return batch_net_hpwl(self._np_tables, cx, cy, vals).tolist()
+        names = self._names
+        if self._tables is None:
+            self._tables = pin_index_tables(self._resolved, names)
+            self._row = {name: i for i, name in enumerate(names)}
+        self._cx, self._cy = _centres(coords, names)
+        n_nets = len(self._resolved)
+        self._vals = batch_net_hpwl(
+            self._tables, self._cx, self._cy, np.empty(n_nets, dtype=np.float64)
+        )
+        self._spare = np.empty(n_nets, dtype=np.float64)
+        return float(self._vals.cumsum()[-1])
+
+    def _refresh_rows(self, coords: Coords) -> None:
+        """Rewrite the stale names' centre rows from ``coords``."""
+        import numpy as np
+
+        names = list(self._stale)
+        self._stale.clear()
+        rows = np.fromiter(map(self._row.__getitem__, names), np.intp, len(names))
+        self._cx[rows], self._cy[rows] = _centres(coords, names)
+
+
+def _centres(coords: Coords, names: Sequence[str]):
+    """``(x0 + x1) / 2`` and ``(y0 + y1) / 2`` of ``names``' entries, as
+    two float64 arrays in ``names`` order (the scalar path's floats)."""
+    import numpy as np
+
+    m = len(names)
+    quads = np.fromiter(
+        chain.from_iterable(map(coords.__getitem__, names)), np.float64, 4 * m
+    ).reshape(m, 4)
+    return (quads[:, 0] + quads[:, 2]) / 2.0, (quads[:, 1] + quads[:, 3]) / 2.0

@@ -10,6 +10,7 @@ Table-I *area usage* ratio, and constraint-compliance checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import copysign
 from typing import Iterable, Iterator, Mapping
 
 from .module import Module, ModuleSet
@@ -165,10 +166,19 @@ class Placement:
         return Placement.of(p.translated(dx, dy) for p in self.placed)
 
     def normalized(self) -> "Placement":
-        """Translate so the bounding box has its lower-left corner at (0, 0)."""
+        """Translate so the bounding box has its lower-left corner at (0, 0).
+
+        A placement already anchored at (+0.0, +0.0) — every kernel
+        packing puts its root exactly there — is returned as is:
+        translating by -0.0 changes no float.  (At -0.0 the translation
+        by +0.0 would turn -0.0 coordinates into +0.0, so that case
+        still builds the copy.)
+        """
         if not self.placed:
             return self
         bb = self.bounding_box()
+        if bb.x0 == bb.y0 == 0.0 and copysign(1.0, bb.x0) == copysign(1.0, bb.y0) == 1.0:
+            return self
         return self.translated(-bb.x0, -bb.y0)
 
     def mirrored_x(self, axis: float) -> "Placement":

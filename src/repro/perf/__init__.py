@@ -34,14 +34,14 @@ Modules
     The dirty-suffix engine on top of the kernel: checkpointed skyline,
     partial repack from the earliest perturbed pre-order position, and
     the propose -> commit/rollback protocol the annealer drives; with
-    ``FlatBStarEngine``, the set-up and committed state that every
-    flat B*-tree engine (the vector tier's included) shares.
+    ``FlatBStarEngine``, the set-up, committed state and in-place step
+    that every flat B*-tree engine (the vector tier's included) shares.
 ``vector``
-    The array-native tier below that: flat numpy coordinate/pin tables,
-    batched multi-candidate proposal (``propose_batch``/``accept``/
-    ``reject_all`` driven by :class:`repro.anneal.BatchedAnnealer`) and
-    vectorized cost evaluation, with the scalar path kept as a
-    bit-identity oracle.  Its two classes are served on first access
+    The vector tier on that step: windowed multi-scale moves and the
+    multi-candidate batch protocol (``propose_batch``/``accept``/
+    ``reject_all`` driven by :class:`repro.anneal.BatchedAnnealer`),
+    with a full-rescan scalar oracle twin, plus the numpy
+    ``BatchCostEvaluator``.  Its two classes are served on first access
     by this package's ``__getattr__``, so the scalar tiers never import
     numpy (see ``docs/perf.md``, "Set-up").
 

@@ -5,8 +5,10 @@ step *proportional to what the move changed*.  A B*-tree packs in
 pre-order, and a node's placement depends only on the nodes packed
 before it — so a perturbation that touches nodes at pre-order positions
 ``>= k`` leaves the coordinate prefix ``[0, k)`` bit-identical.
-:class:`IncrementalBStarEngine` exploits that three ways, all through
-the kernel's one packing loop, :func:`~repro.perf.kernel.pack_suffix`:
+The one in-place step of :class:`FlatBStarEngine` (the flat engines'
+shared core, under :class:`IncrementalBStarEngine` and the vector
+tier's engine alike) exploits that three ways, all through the
+kernel's one packing loop, :func:`~repro.perf.kernel.pack_suffix`:
 
 * **skyline checkpoints** — the packing skyline is snapshotted every
   ``stride`` pre-order positions (:func:`~repro.perf.kernel.
@@ -17,9 +19,9 @@ the kernel's one packing loop, :func:`~repro.perf.kernel.pack_suffix`:
   reconstructed from the perturbed tree's parent pointers and the
   cached prefix coordinates (the pending right-siblings along the path
   to ``k``'s predecessor), so the prefix is never re-walked;
-* **delta wirelength** — modules whose rectangle actually changed are
-  collected from the repacked suffix and handed to the
-  :class:`~repro.cost.CostEvaluator`, whose
+* **delta wirelength** — the suffix is packed into the live
+  coordinate table, and the modules whose rectangle actually changed
+  are handed to the :class:`~repro.cost.CostEvaluator`, whose
   :class:`~repro.cost.DeltaHPWL` recomputes only their incident nets.
 
 Every proposal is undo-logged (touched tree pointers, overwritten
@@ -32,7 +34,9 @@ proposal overwrote.  Costs are bit-identical to a full
 the same state (see ``tests/perf/``);
 :class:`FullRepackBStarEngine` is the same protocol with full
 re-evaluation, used to lock that equivalence over whole annealing runs.
-Both, and the vector tier's engine, build on :class:`FlatBStarEngine`.
+An engine on the step supplies only its draw: global
+:class:`~repro.bstar.perturb.InPlaceBStarMoves` here, windowed moves
+in :mod:`repro.perf.vector`.
 """
 
 from __future__ import annotations
@@ -52,15 +56,39 @@ _INF = float("inf")
 
 
 class FlatBStarEngine:
-    """Set-up and committed state shared by the flat B*-tree engines:
-    the move object, the kernel and its footprint table, and the
-    committed tree, packing and cost.  Each engine adds its own
-    ``reset`` after :meth:`_adopt`, and its own propose / commit /
-    rollback path.
+    """The flat B*-tree engines' shared core: set-up, committed state
+    and the one in-place step.
+
+    Holds the move object, the kernel and its footprint table, the
+    committed tree, packing and cost, and the step every flat engine
+    takes: a move applied in place (:meth:`_step`) repacks the dirty
+    suffix into the live table (undo-logged) and is scored by the
+    kernel model's delta-capable :class:`~repro.cost.CostEvaluator`;
+    :meth:`commit` splices the new pre-order in, :meth:`rollback`
+    restores exactly what the move overwrote.  An engine supplies only
+    its draw, :meth:`_draw`.
+
+    Telemetry capability: every :meth:`propose` refreshes
+    :attr:`last_move` (the move-family name) and
+    :attr:`last_repack_len` (how many pre-order slots the dirty-suffix
+    repack rewrote; 0 for noop/neutral moves) — two scalar attribute
+    stores, cheap enough to keep unconditional.  The annealer reads
+    them only when a recorder is attached.
     """
 
     #: move class in :mod:`repro.bstar.perturb` this engine draws from
     _MOVES = "InPlaceBStarMoves"
+
+    #: move family of the most recent proposal ("move", "swap",
+    #: "rotate", "reshape", "noop")
+    last_move = "noop"
+    #: pre-order slots repacked by the most recent proposal
+    last_repack_len = 0
+    #: a move is applied in place and awaits commit or rollback
+    _pending = False
+    #: the delta-capable session over the kernel's model, built on the
+    #: first :meth:`reset` (the full-repack twin never takes the step)
+    _eval = None
 
     def __init__(
         self,
@@ -110,96 +138,10 @@ class FlatBStarEngine:
     def initial_cost(self) -> float:
         return self._cost
 
-    def snapshot(self) -> BStarState:
-        """An immutable copy of the current state (best tracking)."""
-        return self._state_cls(
-            tree=self._tree.clone(),
-            orientations=dict(self._orients),
-            variants=dict(self._variants),
-        )
-
-    # -- shared internals ----------------------------------------------------
-
-    def _adopt(self, state: BStarState) -> None:
-        """Copy ``state`` into mutable form, with empty packing caches
-        (the common prefix of every ``reset``; the caller packs)."""
-        self._tree = state.tree.clone()
-        self._orients = dict(state.orientations)
-        self._variants = dict(state.variants)
-        self._sizes = dict(
-            self._kernel.resolved_sizes(self._orients, self._variants)
-        )
-        n = len(self._tree)
-        self._order = [""] * n
-        self._pos = {}
-        self._coords = {}
-        n_slots = ((n - 1) // self._stride + 1) if n else 1
-        self._ckpts = [Skyline().snapshot()] * n_slots
-
-    def _footprint(self, name: str) -> tuple[float, float]:
-        """``name``'s (w, h) under its current variant and orientation."""
-        return self._footprints[name][self._variants.get(name, 0)][
-            self._orients.get(name, Orientation.R0)
-        ]
-
-
-class IncrementalBStarEngine(FlatBStarEngine):
-    """Incremental pack-and-cost engine for flat B*-tree annealing.
-
-    Implements the :class:`repro.anneal.IncrementalEngine` protocol.
-    Call :meth:`reset` with an initial :class:`BStarState` (the engine
-    keeps its own mutable copy), then drive it through
-    :class:`repro.anneal.IncrementalAnnealer`.
-
-    Telemetry capability: every :meth:`propose` refreshes
-    :attr:`last_move` (the move-family name) and
-    :attr:`last_repack_len` (how many pre-order slots the dirty-suffix
-    repack rewrote; 0 for noop/neutral moves) — two scalar attribute
-    stores, cheap enough to keep unconditional.  The annealer reads
-    them only when a recorder is attached.
-    """
-
-    #: move family of the most recent proposal ("move", "swap",
-    #: "rotate", "reshape", "noop")
-    last_move = "noop"
-    #: pre-order slots repacked by the most recent proposal
-    last_repack_len = 0
-
-    def __init__(
-        self,
-        modules: ModuleSet,
-        nets: tuple[Net, ...] = (),
-        proximity: tuple[ProximityGroup, ...] = (),
-        config=None,
-        *,
-        allow_rotation: bool = True,
-        stride: int | None = None,
-        kernel: BStarKernel | None = None,
-    ) -> None:
-        super().__init__(
-            modules, nets, proximity, config,
-            allow_rotation=allow_rotation, stride=stride, kernel=kernel,
-        )
-        # this engine's delta-capable session over the kernel's model
-        self._eval = self._kernel.model.evaluator()
-
-        # pending-proposal undo state.  `order`/`pos` describe the
-        # *committed* state only: a proposal keeps the repacked
-        # pre-order in `_new_suffix` and commit splices it in, so
-        # rejected moves never touch (and never have to restore) them.
-        self._pending = False
-        self._pending_kind = ""
-        self._pending_cost = _INF
-        self._rec = None
-        self._size_undo: tuple[str, tuple[float, float]] | None = None
-        self._dirty_k = 0
-        self._new_suffix: list[str] = []
-        self._coord_log: list[tuple[str, tuple[float, float, float, float] | None]] = []
-        self._ckpt_log: list = []
-        self._moved: list[str] = []
-
     def reset(self, state: BStarState) -> float:
         """Adopt ``state`` (copied into mutable form); return its cost."""
+        if self._eval is None:
+            self._eval = self._kernel.model.evaluator()
         self._adopt(state)
         self._repack_suffix(0)
         self._order[:] = self._new_suffix
@@ -208,44 +150,26 @@ class IncrementalBStarEngine(FlatBStarEngine):
         self._clear_pending()
         return self._cost
 
+    def snapshot(self) -> BStarState:
+        """An immutable copy of the committed state (best tracking).
+
+        A pending proposal is undone on the copy, so the batch driver
+        may snapshot while a candidate is still applied in place.
+        """
+        tree = self._tree.clone()
+        orients = self._orients.copy()
+        variants = self._variants.copy()
+        if self._pending:
+            self._moves.undo(tree, orients, variants, self._rec)
+        return self._state_cls(tree=tree, orientations=orients, variants=variants)
+
     # -- protocol ------------------------------------------------------------
 
     def propose(self, rng: random.Random) -> float:
-        """Apply one random move in place; return the candidate cost."""
+        """Apply one drawn move in place; return the candidate cost."""
         if self._pending:
             raise RuntimeError("previous proposal not committed or rolled back")
-        rec = self._moves.apply(self._tree, self._orients, self._variants, rng)
-        self._rec = rec
-        self._pending = True
-        kind = rec.kind
-        self.last_move = kind
-        self.last_repack_len = 0
-        if kind == "noop":
-            self._pending_kind = "noop"
-            self._pending_cost = self._cost
-            return self._cost
-        if kind == "rotate" or kind == "reshape":
-            name = rec.a
-            wh = self._footprint(name)
-            old_wh = self._sizes[name]
-            if wh == old_wh:
-                # size-neutral move (square rotate, same-footprint
-                # variant): coordinates — hence cost — are unchanged
-                self._pending_kind = "neutral"
-                self._pending_cost = self._cost
-                return self._cost
-            self._size_undo = (name, old_wh)
-            self._sizes[name] = wh
-        else:
-            self._size_undo = None
-        self._pending_kind = "repack"
-        k = self._moves.dirty_index(rec, self._pos)
-        self.last_repack_len = len(self._order) - k
-        self._repack_suffix(k)
-        self._pending_cost = self._eval.propose(
-            self._coords, self._moved, self._sky_bounding()
-        )
-        return self._pending_cost
+        return self._step(self._draw(rng))
 
     def commit(self) -> None:
         """Keep the pending move (the mutation already happened; only
@@ -306,7 +230,72 @@ class IncrementalBStarEngine(FlatBStarEngine):
 
     # -- internals -----------------------------------------------------------
 
+    def _draw(self, rng: random.Random):
+        """Draw one move and apply it in place; its undo record."""
+        raise NotImplementedError
+
+    def _step(self, rec) -> float:
+        """Repack and score the move ``rec`` just applied in place,
+        leaving it pending; return the candidate cost."""
+        self._rec = rec
+        self._pending = True
+        kind = rec.kind
+        self.last_move = kind
+        self.last_repack_len = 0
+        if kind == "noop":
+            self._pending_kind = "noop"
+            self._pending_cost = self._cost
+            return self._cost
+        if kind == "rotate" or kind == "reshape":
+            name = rec.a
+            wh = self._footprint(name)
+            old_wh = self._sizes[name]
+            if wh == old_wh:
+                # size-neutral move (square rotate, same-footprint
+                # variant): coordinates — hence cost — are unchanged
+                self._pending_kind = "neutral"
+                self._pending_cost = self._cost
+                return self._cost
+            self._size_undo = (name, old_wh)
+            self._sizes[name] = wh
+        else:
+            self._size_undo = None
+        self._pending_kind = "repack"
+        k = self._moves.dirty_index(rec, self._pos)
+        self.last_repack_len = len(self._order) - k
+        self._repack_suffix(k)
+        self._pending_cost = self._eval.propose(
+            self._coords, self._moved, self._sky_bounding()
+        )
+        return self._pending_cost
+
+    def _adopt(self, state: BStarState) -> None:
+        """Copy ``state`` into mutable form, with empty packing caches
+        (the common prefix of every ``reset``; the caller packs)."""
+        self._tree = state.tree.clone()
+        self._orients = dict(state.orientations)
+        self._variants = dict(state.variants)
+        self._sizes = dict(
+            self._kernel.resolved_sizes(self._orients, self._variants)
+        )
+        n = len(self._tree)
+        self._order = [""] * n
+        self._pos = {}
+        self._coords = {}
+        n_slots = ((n - 1) // self._stride + 1) if n else 1
+        self._ckpts = [Skyline().snapshot()] * n_slots
+
+    def _footprint(self, name: str) -> tuple[float, float]:
+        """``name``'s (w, h) under its current variant and orientation."""
+        return self._footprints[name][self._variants.get(name, 0)][
+            self._orients.get(name, Orientation.R0)
+        ]
+
     def _clear_pending(self) -> None:
+        # the step's undo state.  `order`/`pos` describe the committed
+        # state only: a proposal keeps the repacked pre-order in
+        # `_new_suffix` for commit to splice in, so rejected moves
+        # never touch (and never have to restore) them
         self._pending = False
         self._pending_kind = ""
         self._rec = None
@@ -326,40 +315,44 @@ class IncrementalBStarEngine(FlatBStarEngine):
     def _repack_suffix(self, k: int) -> None:
         """Repack pre-order positions ``>= k`` (undo-logged).
 
-        Runs the kernel's :func:`~repro.perf.kernel.pack_suffix`, then
-        writes the rectangles that changed into the coordinate table
-        (per-entry undo, collected as moved for the HPWL delta) and
-        installs the refreshed skyline checkpoints (old snapshots
-        logged).  The packed table's keys are the new pre-order tail,
-        kept for commit to splice in; the table itself (with every
-        unchanged rectangle's fresh duplicate) is dropped here.
+        Runs the kernel's :func:`~repro.perf.kernel.pack_suffix` in
+        place: the rectangles that changed are written into the
+        coordinate table as they are packed (old entries logged for
+        rollback, names collected as moved for the cost delta).  The
+        suffix's new pre-order is kept for commit to splice in, and the
+        refreshed skyline checkpoints are installed (old snapshots
+        logged).
         """
         self._dirty_k = k
-        coords = self._coords
         ckpts = self._ckpts
-        packed, snaps = pack_suffix(
+        coord_log: list = []
+        self._new_suffix, snaps = pack_suffix(
             self._tree, self._sizes, self._sky, k,
-            self._order, coords, ckpts, self._stride,
+            self._order, self._coords, ckpts, self._stride, coord_log,
         )
-        assert len(packed) == len(self._order) - k, (
+        assert len(self._new_suffix) == len(self._order) - k, (
             "suffix repack lost nodes (tree corrupted?)"
         )
-        self._new_suffix = list(packed)
-        coord_log: list = []
         self._coord_log = coord_log
-        moved = self._moved
-        moved.clear()
-        push_moved = moved.append
-        coords_get = coords.get
-        for name, quad in packed.items():
-            old = coords_get(name)
-            if quad != old:
-                coord_log.append((name, old))
-                coords[name] = quad
-                push_moved(name)
+        self._moved = [name for name, _ in coord_log]
         self._ckpt_log = [(slot, ckpts[slot]) for slot, _ in snaps]
         for slot, snap in snaps:
             ckpts[slot] = snap
+
+
+class IncrementalBStarEngine(FlatBStarEngine):
+    """Incremental pack-and-cost engine for flat B*-tree annealing.
+
+    Implements the :class:`repro.anneal.IncrementalEngine` protocol
+    with :class:`FlatBStarEngine`'s in-place step over global draws
+    (:class:`~repro.bstar.perturb.InPlaceBStarMoves`).  Call
+    :meth:`reset` with an initial :class:`BStarState` (the engine
+    keeps its own mutable copy), then drive it through
+    :class:`repro.anneal.IncrementalAnnealer`.
+    """
+
+    def _draw(self, rng: random.Random):
+        return self._moves.apply(self._tree, self._orients, self._variants, rng)
 
 
 class FullRepackBStarEngine(FlatBStarEngine):
@@ -377,24 +370,6 @@ class FullRepackBStarEngine(FlatBStarEngine):
     every non-noop proposal repacks the whole tree, so
     :attr:`last_repack_len` is simply the module count.
     """
-
-    last_move = "noop"
-    last_repack_len = 0
-
-    def __init__(
-        self,
-        modules: ModuleSet,
-        nets: tuple[Net, ...] = (),
-        proximity: tuple[ProximityGroup, ...] = (),
-        config=None,
-        *,
-        allow_rotation: bool = True,
-    ) -> None:
-        super().__init__(
-            modules, nets, proximity, config, allow_rotation=allow_rotation
-        )
-        self._pending_cost = _INF
-        self._rec = None
 
     def reset(self, state: BStarState) -> float:
         self._adopt(state)

@@ -1,56 +1,47 @@
-"""Array-native evaluation tier: vectorized cost + batched candidates.
+"""The vector tier: windowed multi-scale walks, batched candidates.
 
-The dirty-suffix engine (:mod:`repro.perf.incremental`) made each
-annealing step proportional to what the move changed — but coordinates,
-footprints and pins still live in per-name dicts, and every cost term
-evaluates scalar-by-scalar, so steps/s decays with design size anyway
-(the ``mode:"workloads"`` bench trajectory shows the collapse past
-~2000 modules).  This module is the tier below: flat numpy tables and
-batched evaluation.
-
-Three pieces
-============
-
-:class:`BatchCostEvaluator`
-    Vectorized per-term evaluation behind the existing
-    :class:`~repro.cost.CostModel` protocol.  Per-net HPWL is computed
-    for *K candidates at once* over ``(K, n)`` center arrays by
-    :func:`repro.cost.hpwl.batch_net_hpwl`: nets are grouped into
-    power-of-two degree classes (:func:`repro.cost.hpwl.pin_index_tables`),
-    and each class is a handful of full-width ``take`` / ``max`` /
-    ``min`` ops over its padded pin table, not one segment per net;
-    per-candidate totals then run through the model's own
-    ``evaluate(coords, hpwl=..., bounding=...)`` with the vectorized
-    inputs precomputed — so the term arithmetic, gating and
-    accumulation order are *literally the model's own*, and totals are
-    byte-identical to the scalar path (``np.cumsum`` row sums in net
-    order and max/min spans reproduce the sequential float operations
-    exactly; locked in ``tests/perf/test_vector_equivalence.py``).
+Two pieces
+==========
 
 :class:`VectorBStarEngine`
-    A batched B*-tree engine: ``propose_batch(rng, k)`` draws K
-    candidate moves from the *same committed state*, packs each one's
-    dirty suffix through the kernel's one packing loop
-    (:func:`~repro.perf.kernel.pack_suffix`, no undo logging) — keeping
-    the packed ``(x0, y0, x1, y1)`` tuples plus the center arrays built
-    from them — undoes the tree mutation, and scores all K in one
-    vectorized pass.  ``accept(j)`` replays candidate ``j``'s recorded
-    choices deterministically (via the ``*_named`` helpers of
-    :class:`~repro.bstar.perturb.InPlaceBStarMoves`) and splices its
-    tuples and center arrays into the committed state, with no
-    conversion back from numpy; ``reject_all`` is O(1).  Moves are
-    *windowed* (:class:`~repro.bstar.perturb.WindowedBStarMoves`): each
-    candidate draws a log-uniform suffix length, so the expected repack
-    cost is ``O(n / ln n)`` instead of ``O(n)`` while long-range moves
-    are still sampled.  The scalar protocol (``propose`` /
-    ``commit`` / ``rollback``) is the K=1 special case, so the engine
-    drops into every existing driver (warmup included).
+    The flat B*-tree engine of the vector tier.  It runs
+    :class:`~repro.perf.incremental.FlatBStarEngine`'s in-place step —
+    dirty-suffix repack into the live table, scored by the kernel
+    model's delta-capable :class:`~repro.cost.CostEvaluator` — exactly
+    as :class:`~repro.perf.IncrementalBStarEngine` does; only its draw
+    differs.  Moves are *windowed*
+    (:class:`~repro.bstar.perturb.WindowedBStarMoves`): each candidate
+    draws a log-uniform suffix length, so the expected repack cost is
+    ``O(n / ln n)`` instead of ``O(n)`` while long-range moves are
+    still sampled.  On top of the scalar protocol it speaks the batch
+    protocol of :class:`repro.anneal.BatchedAnnealer`:
+    ``propose_batch(rng, k)`` applies, repacks and scores ``k``
+    candidates off the committed state one after another, rolling each
+    back once scored except the last, which stays pending;
+    ``accept(j)`` commits that last one, or rolls it back and replays
+    candidate ``j``'s recorded choices (via the ``*_named`` helpers of
+    :class:`~repro.bstar.perturb.InPlaceBStarMoves`); ``reject_all``
+    rolls it back.  A one-candidate step therefore repacks once.  On
+    designs of ``DeltaHPWL``'s ``batch_min_nets`` nets or more the
+    wirelength delta runs on maintained numpy arrays (see
+    :class:`~repro.cost.DeltaHPWL`).
+
+:class:`BatchCostEvaluator`
+    Vectorized per-term evaluation of ``K`` candidates at once behind
+    the :class:`~repro.cost.CostModel` protocol: per-net HPWL over
+    ``(K, n)`` centre arrays by :func:`repro.cost.hpwl.batch_net_hpwl`
+    (degree-class pin tables), then the model's own
+    ``evaluate(coords, hpwl=..., bounding=...)``, so totals are
+    byte-identical to the scalar path (``np.cumsum`` row sums in net
+    order reproduce the sequential float additions exactly).  The walk
+    no longer uses it; it stays as a tested batch evaluator and a
+    benchmark reference.
 
 The scalar oracle
-    The same engine built with ``evaluator="scalar"`` replays identical
+    The engine built with ``evaluator="scalar"`` replays identical
     draws but scores every candidate through a full
-    ``CostModel.evaluate`` over a real coordinate dict.  Because the
-    vectorized arithmetic is bit-identical, a vector walk and its
+    ``CostModel.evaluate`` of the live table.  Delta and full
+    evaluation are bit-identical, so a vector walk and its
     scalar-oracle twin agree on every candidate cost and every best
     cost — the A/B discipline the bench (``benchmarks/bench_vector.py``)
     and the equivalence suite assert with ``==``, no tolerances.
@@ -65,7 +56,6 @@ placement *quality* (the sweep matrix), not trajectories.
 from __future__ import annotations
 
 import random
-from itertools import chain
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -81,13 +71,11 @@ from ..cost.terms import (
 )
 from ..geometry import ModuleSet, Net
 from .incremental import FlatBStarEngine
-from .kernel import BStarKernel, pack_suffix
+from .kernel import BStarKernel
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..bstar.perturb import BStarState
     from ..cost.model import CostModel
-
-_INF = float("inf")
 
 #: exponent applied to the uniform draw behind each candidate's
 #: log-uniform window size: >1 biases toward short (cheap) windows
@@ -108,8 +96,8 @@ _SUPPORTED_TERMS = (AreaTerm, HPWLTerm, AspectTerm, OutlineTerm, ProximityTerm)
 class BatchCostEvaluator:
     """Batched, vectorized evaluation behind the ``CostModel`` protocol.
 
-    Construct once per walk from the model and the (row-ordered) module
-    names; call :meth:`totals` with ``(K, n)`` center arrays and K
+    Construct once from the model and the (row-ordered) module names;
+    call :meth:`totals` with ``(K, n)`` center arrays and K
     bounding boxes.  Wirelength — the only O(n) term — is vectorized
     across the whole batch; every other term is O(1) per candidate and
     runs through the model's own ``accumulate`` chain, which is what
@@ -120,14 +108,6 @@ class BatchCostEvaluator:
 
     def __init__(self, model: CostModel, names: Sequence[str]) -> None:
         reason = self.unsupported_reason(model)
-        if reason is None and any(
-            isinstance(t, ProximityTerm) and t.groups and t.active
-            for t in model.terms
-        ):
-            reason = (
-                "active proximity groups have no array form (the scalar "
-                "evaluator and IncrementalBStarEngine serve them)"
-            )
         if reason:
             raise ValueError(f"model not vectorizable: {reason}")
         self._model = model
@@ -140,13 +120,18 @@ class BatchCostEvaluator:
 
     @staticmethod
     def unsupported_reason(model: CostModel) -> str | None:
-        """Why ``model`` cannot go through the vector tier (or ``None``)."""
+        """Why this evaluator cannot score ``model`` (or ``None``)."""
         for term in model.terms:
             if not isinstance(term, _SUPPORTED_TERMS):
                 return (
                     f"term {term.name!r} ({type(term).__name__}) has no "
                     "vectorized path (boundary-tier terms never run in "
                     "annealing hot loops)"
+                )
+            if isinstance(term, ProximityTerm) and term.groups and term.active:
+                return (
+                    "active proximity groups have no array form (the "
+                    "delta path of CostEvaluator serves them)"
                 )
         return None
 
@@ -182,52 +167,52 @@ class BatchCostEvaluator:
         return [evaluate(empty, hpwls[j], boundings[j]) for j in range(k)]
 
 
-class _Candidate:
-    """One proposed move: its recorded choices, packed suffix and cost."""
+class _FullRescan:
+    """The scalar oracle's evaluator: a full ``CostModel.evaluate`` of
+    the live table at every proposal (same surface as
+    :class:`~repro.cost.CostEvaluator`, nothing cached)."""
 
-    __slots__ = (
-        "kind", "replay", "k", "packed", "rows_np", "cx", "cy",
-        "snaps", "bounding", "cost",
-    )
+    def __init__(self, model: CostModel) -> None:
+        self._evaluate = model.evaluate
 
-    def __init__(self, kind: str, replay=None) -> None:
-        self.kind = kind
-        self.replay = replay
-        self.k = 0
-        #: the packed suffix, ``name -> (x0, y0, x1, y1)`` in its new
-        #: pre-order (installed as-is on accept: no array round trip)
-        self.packed: dict[str, tuple[float, float, float, float]] = {}
-        self.rows_np = None
-        self.cx = None
-        self.cy = None
-        self.snaps: list = []
-        self.bounding = (0.0, 0.0, 0.0, 0.0)
-        self.cost = _INF
+    def reset(self, coords, *, bounding=None) -> float:
+        return self._evaluate(coords, bounding=bounding)
+
+    def propose(self, coords, moved=None, bounding=None) -> float:
+        return self._evaluate(coords, bounding=bounding)
+
+    def commit(self) -> None:
+        pass
+
+    def rollback(self) -> None:
+        pass
 
 
 class VectorBStarEngine(FlatBStarEngine):
-    """Batched array-native B*-tree engine (vector tier).
+    """Windowed multi-scale B*-tree engine (vector tier).
 
     Implements the :class:`repro.anneal.IncrementalEngine` protocol
     *plus* the batch extension driven by
-    :class:`repro.anneal.BatchedAnnealer`:
+    :class:`repro.anneal.BatchedAnnealer`, on :class:`FlatBStarEngine`'s
+    in-place step; only its draw differs from
+    :class:`~repro.perf.IncrementalBStarEngine`'s:
 
-    * :meth:`propose_batch` — K windowed candidate moves from the
-      committed state, scored in one vectorized pass;
-    * :meth:`accept` — deterministically replay candidate ``j`` and
-      splice its suffix arrays into the committed state;
-    * :meth:`reject_all` — O(1) (candidates never touched committed
-      state).
+    * :meth:`propose_batch` — K windowed candidates off the committed
+      state, each applied, repacked and scored in place; every one but
+      the last is rolled back once scored, the last stays pending;
+    * :meth:`accept` — keep candidate ``j``: commit the pending last
+      one, or roll it back and replay ``j``'s recorded choices;
+    * :meth:`reject_all` — roll back the pending candidate.
 
     ``evaluator="scalar"`` builds the bit-identity oracle twin: same
     draws, every candidate scored through a full scalar
-    ``CostModel.evaluate`` over a real coordinate dict.
+    ``CostModel.evaluate`` of the live table.
 
     Telemetry capability: when :attr:`collect_stats` is set (the
     annealer flips it on recorder attach), :meth:`propose_batch` also
     publishes :attr:`last_kinds` / :attr:`last_repack_lens` — one
     move-family name and repacked-suffix length per candidate.  Off by
-    default so untraced runs skip the per-batch list builds.
+    default so untraced runs skip the per-batch tuple builds.
     """
 
     _MOVES = "WindowedBStarMoves"
@@ -257,41 +242,16 @@ class VectorBStarEngine(FlatBStarEngine):
             modules, nets, proximity, config,
             allow_rotation=allow_rotation, stride=stride, kernel=kernel,
         )
-        model = self._kernel.model
-        self._names = tuple(modules.names())
-        self._row = {name: i for i, name in enumerate(self._names)}
-        self._n = len(self._names)
         if evaluator == "scalar":
-            self._batch_eval = None
-            reason = BatchCostEvaluator.unsupported_reason(model)
-            if reason:
-                raise ValueError(f"vector tier cannot serve this model: {reason}")
-        else:
-            self._batch_eval = BatchCostEvaluator(model, self._names)
-
-        # committed centers (row order of `_names`) and bounding box
-        self._base_cx = np.zeros(self._n, dtype=np.float64)
-        self._base_cy = np.zeros(self._n, dtype=np.float64)
-        self._bounding = (0.0, 0.0, 0.0, 0.0)
-
-        # pending batch
-        self._cands: list[_Candidate] | None = None
-        # reusable (K, n) center buffers, grown on demand
-        self._buf_cx = None
-        self._buf_cy = None
-
-    # -- setup ---------------------------------------------------------------
+            self._eval = _FullRescan(self._kernel.model)
+        #: recorded choices of the pending batch's rolled-back
+        #: candidates (None: no batch pending)
+        self._cands: list[tuple | None] | None = None
 
     def reset(self, state: BStarState) -> float:
         """Adopt ``state`` (copied into mutable form); return its cost."""
         self._cands = None
-        self._adopt(state)
-        cand = _Candidate("repack")
-        cand.k = 0
-        self._pack_suffix(0, cand)
-        self._install(cand)
-        self._cost = self._evaluate([cand])[0]
-        return self._cost
+        return super().reset(state)
 
     # -- batch protocol ------------------------------------------------------
 
@@ -299,83 +259,54 @@ class VectorBStarEngine(FlatBStarEngine):
         """Draw, pack and score ``k`` candidates off the committed state."""
         if self._cands is not None:
             raise RuntimeError("previous batch not accepted or rejected")
-        cands = [self._propose_one(rng) for _ in range(k)]
+        propose = self.propose
+        stats = self.collect_stats
+        costs: list[float] = []
+        cands: list[tuple | None] = []
+        kinds: list[str] = []
+        lens: list[int] = []
+        for i in range(k):
+            if i:
+                cands.append(self._choices())
+                self.rollback()
+            costs.append(propose(rng))
+            if stats:
+                kinds.append(self.last_move)
+                lens.append(self.last_repack_len)
         self._cands = cands
-        live = [c for c in cands if c.kind == "repack"]
-        if live:
-            costs = self._evaluate(live)
-            for cand, cost in zip(live, costs):
-                cand.cost = cost
-        current = self._cost
-        for cand in cands:
-            if cand.kind != "repack":
-                cand.cost = current
-        if self.collect_stats:
-            self.last_kinds = tuple(
-                c.replay[0] if c.replay else c.kind for c in cands
-            )
-            self.last_repack_lens = tuple(
-                self._n - c.k if c.kind == "repack" else 0 for c in cands
-            )
-        return [cand.cost for cand in cands]
+        if stats:
+            self.last_kinds = tuple(kinds)
+            self.last_repack_lens = tuple(lens)
+        return costs
 
     def accept(self, j: int) -> None:
-        """Keep candidate ``j``: replay its move, splice its arrays."""
+        """Keep candidate ``j`` (the pending last one, or a replay)."""
         cands = self._cands
         if cands is None:
             raise RuntimeError("no pending batch")
-        cand = cands[j]
-        kind = cand.kind
-        if kind == "neutral":
-            op, name, value = cand.replay
-            (self._orients if op == "rotate" else self._variants)[name] = value
-        elif kind == "repack":
-            replay = cand.replay
-            op = replay[0]
-            if op == "move":
-                self._moves.move_named(self._tree, replay[1], replay[2], replay[3])
-            elif op == "swap":
-                self._moves.swap_named(self._tree, replay[1], replay[2])
-            elif op == "rotate":
-                self._orients[replay[1]] = replay[2]
-                self._sizes[replay[1]] = replay[3]
-            else:  # reshape
-                self._variants[replay[1]] = replay[2]
-                self._sizes[replay[1]] = replay[3]
-            self._install(cand)
-        self._cost = cand.cost
         self._cands = None
+        if j < len(cands):
+            self.rollback()
+            choices = cands[j]
+            if choices is None:  # a noop: nothing to keep
+                return
+            self._step(self._replay(choices))
+        self.commit()
 
     def reject_all(self) -> None:
-        """Drop the whole batch (committed state was never touched)."""
+        """Drop the whole batch (roll back the pending candidate)."""
         if self._cands is None:
             raise RuntimeError("no pending batch")
         self._cands = None
-
-    # -- scalar protocol (K = 1 special case; warmup and generic drivers) ----
-
-    def propose(self, rng: random.Random) -> float:
-        return self.propose_batch(rng, 1)[0]
-
-    def commit(self) -> None:
-        self.accept(0)
-
-    def rollback(self) -> None:
-        self.reject_all()
-
-    def cost_breakdown(self) -> dict[str, float]:
-        """Per-term contributions of the committed state (reporting
-        tier — full scalar rescan, chunk boundaries only)."""
-        if self._cands is not None:
-            raise RuntimeError("previous batch not accepted or rejected")
-        return self._kernel.model.breakdown(self._coords, bounding=self._bounding)
+        self.rollback()
 
     # -- internals -----------------------------------------------------------
 
-    def _propose_one(self, rng: random.Random) -> _Candidate:
-        """Draw one windowed move, pack its dirty suffix, undo the tree."""
-        n = self._n
+    def _draw(self, rng: random.Random):
+        """One windowed move: a log-uniform suffix of the committed
+        pre-order, operands drawn inside it."""
         order = self._order
+        n = len(order)
         lo = 0
         wmin = _WINDOW_MIN
         if n > wmin:
@@ -387,103 +318,34 @@ class VectorBStarEngine(FlatBStarEngine):
             elif s < wmin:
                 s = wmin
             lo = n - s
-        tree = self._tree
-        orients = self._orients
-        variants = self._variants
-        moves = self._moves
-        rec = moves.apply_windowed(tree, orients, variants, rng, order, lo)
-        kind = rec.kind
-        if kind == "noop":
-            return _Candidate("noop")
-        if kind == "rotate" or kind == "reshape":
-            name = rec.a
-            new_value = orients[name] if kind == "rotate" else variants[name]
-            wh = self._footprint(name)
-            old_wh = self._sizes[name]
-            if wh == old_wh:
-                # size-neutral (square rotate / same-footprint variant):
-                # coordinates — hence cost — are unchanged
-                moves.undo(tree, orients, variants, rec)
-                return _Candidate("neutral", (kind, name, new_value))
-            cand = _Candidate("repack", (kind, name, new_value, wh))
-            self._sizes[name] = wh
-            cand.k = self._pos[name]
-            self._pack_suffix(cand.k, cand)
-            self._sizes[name] = old_wh
-            moves.undo(tree, orients, variants, rec)
-            return cand
-        if kind == "move":
-            side = "left" if tree.left[rec.b] == rec.a else "right"
-            cand = _Candidate("repack", ("move", rec.a, rec.b, side))
-        else:  # swap
-            cand = _Candidate("repack", ("swap", rec.a, rec.b))
-        cand.k = moves.dirty_index(rec, self._pos)
-        self._pack_suffix(cand.k, cand)
-        moves.undo(tree, orients, variants, rec)
-        return cand
-
-    def _evaluate(self, live: list[_Candidate]) -> list[float]:
-        """Score packed candidates (vectorized, or the scalar oracle)."""
-        if self._batch_eval is None:
-            evaluate = self._kernel.model.evaluate
-            out = []
-            for cand in live:
-                coords = dict(self._coords)
-                coords.update(cand.packed)
-                out.append(evaluate(coords, bounding=cand.bounding))
-            return out
-        k = len(live)
-        n = self._n
-        buf = self._buf_cx
-        if buf is None or buf.shape[0] < k:
-            self._buf_cx = np.empty((k, n), dtype=np.float64)
-            self._buf_cy = np.empty((k, n), dtype=np.float64)
-        cx = self._buf_cx[:k]
-        cy = self._buf_cy[:k]
-        cx[:] = self._base_cx
-        cy[:] = self._base_cy
-        for idx, cand in enumerate(live):
-            if cand.rows_np is not None and cand.rows_np.size:
-                cx[idx, cand.rows_np] = cand.cx
-                cy[idx, cand.rows_np] = cand.cy
-        return self._batch_eval.totals(cx, cy, [c.bounding for c in live])
-
-    def _install(self, cand: _Candidate) -> None:
-        """Splice an accepted candidate's suffix into the committed state."""
-        k = cand.k
-        packed = cand.packed
-        self._order[k:] = packed
-        self._pos.update(zip(packed, range(k, k + len(packed))))
-        self._coords.update(packed)
-        if cand.rows_np is not None and cand.rows_np.size:
-            self._base_cx[cand.rows_np] = cand.cx
-            self._base_cy[cand.rows_np] = cand.cy
-        ckpts = self._ckpts
-        for slot, snap in cand.snaps:
-            ckpts[slot] = snap
-        self._bounding = cand.bounding
-
-    def _pack_suffix(self, k: int, cand: _Candidate) -> None:
-        """Pack pre-order positions ``>= k`` of the (perturbed) tree into
-        ``cand``'s packed table, checkpoint snapshots and center arrays
-        (the kernel's :func:`~repro.perf.kernel.pack_suffix`) — committed
-        state untouched; :meth:`accept` installs them.
-        """
-        sky = self._sky
-        packed, cand.snaps = pack_suffix(
-            self._tree, self._sizes, sky, k,
-            self._order, self._coords, self._ckpts, self._stride,
+        return self._moves.apply_windowed(
+            self._tree, self._orients, self._variants, rng, order, lo
         )
-        m = len(packed)
-        assert m == self._n - k, "suffix repack lost nodes (tree corrupted?)"
-        cand.packed = packed
-        cand.bounding = (0.0, 0.0, sky.rightmost_edge(), sky.max_height())
-        if m:
-            cand.rows_np = np.fromiter(
-                map(self._row.__getitem__, packed), dtype=np.intp, count=m
-            )
-            qa = np.fromiter(
-                chain.from_iterable(packed.values()), dtype=np.float64, count=4 * m
-            ).reshape(-1, 4)
-            cand.cx = (qa[:, 0] + qa[:, 2]) / 2.0
-            cand.cy = (qa[:, 1] + qa[:, 3]) / 2.0
+
+    def _choices(self) -> tuple | None:
+        """The pending move's choices, enough for :meth:`_replay` to
+        apply it again to the committed state (None for a noop)."""
+        rec = self._rec
+        kind = rec.kind
+        if kind == "move":
+            side = "left" if self._tree.left[rec.b] == rec.a else "right"
+            return ("move", rec.a, rec.b, side)
+        if kind == "swap":
+            return ("swap", rec.a, rec.b)
+        if kind == "rotate":
+            return ("rotate", rec.a)
+        if kind == "reshape":
+            return ("reshape", rec.a, self._variants[rec.a])
+        return None
+
+    def _replay(self, choices: tuple):
+        """Apply recorded choices in place (the ``*_named`` helpers)."""
+        moves = self._moves
+        op, name = choices[0], choices[1]
+        if op == "move":
+            return moves.move_named(self._tree, name, choices[2], choices[3])
+        if op == "swap":
+            return moves.swap_named(self._tree, name, choices[2])
+        if op == "rotate":
+            return moves.rotate_named(self._orients, name)
+        return moves.reshape_named(self._variants, name, choices[2])

@@ -35,6 +35,7 @@ from repro.circuit import ProximityGroup, fig2_design, miller_opamp
 from repro.circuit.constraints import rects_connected
 from repro.cost import (
     CostModel,
+    DeltaHPWL,
     hpwl_of,
     model_for_config,
     proximity_satisfied,
@@ -310,6 +311,74 @@ def _grid_placement(rng, n):
         y = rng.randrange(13) * 0.5
         placed.append(PlacedModule(Module.hard(f"m{i}", w, h), Rect.from_size(x, y, w, h)))
     return Placement(tuple(placed))
+
+
+class TestDeltaHPWLArrayMode:
+    """From ``batch_min_nets`` nets on, :class:`DeltaHPWL` keeps its
+    per-net values and module centres in numpy arrays between steps.
+    Random propose / commit / rollback walks mixing small moves (scalar
+    path), large moves (full recompute over the maintained centres) and
+    diff-detected proposals (``moved=None``) must total exactly what a
+    raw :func:`hpwl_of` rescan and the list-mode cache give."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.sampled_from((0.0, 0.02, 0.1, 0.3, 1.0)),
+        st.data(),
+    )
+    def test_totals_match_hpwl_of_and_list_mode(self, n, fraction, data):
+        rng = random.Random(data.draw(st.integers(0, 2**31), label="seed"))
+        modules = ModuleSet.of(
+            [Module.hard(f"m{i}", rng.uniform(1, 9), rng.uniform(1, 9)) for i in range(n)]
+        )
+        names = modules.names()
+        nets = [
+            Net(f"n{i}", tuple(rng.sample(names, min(n, rng.choice((2, 2, 3, 5, 8))))),
+                weight=rng.choice((1.0, 0.7, 1.5)))
+            for i in range(rng.randrange(1, 3 * n))
+        ]
+        nets.append(Net("ghost", (names[0], "nowhere")))
+        resolved = resolve_nets(nets, names)
+        arrays = DeltaHPWL(resolved, names, batch_fraction=fraction, batch_min_nets=1)
+        listed = DeltaHPWL(resolved, names, batch_min_nets=10**9)
+
+        # in place: one table mutated under explicit moved lists (the
+        # flat engines' way); otherwise a fresh table per proposal,
+        # with a moved list or diffed against the committed one
+        in_place = data.draw(st.booleans(), label="in_place")
+        committed = _random_coords(modules, rng)
+        live = dict(committed)
+        total = arrays.reset(live if in_place else dict(live))
+        assert (arrays._cx is not None) == bool(resolved) and listed._cx is None
+        assert total == listed.reset(dict(committed)) == hpwl_of(resolved, committed)
+        for step in range(data.draw(st.integers(1, 25), label="steps")):
+            size = data.draw(st.sampled_from(("one", "few", "most")), label="size")
+            count = {"one": 1, "few": min(n, 3), "most": n}[size]
+            moved = rng.sample(names, count)
+            undo = [(name, live[name]) for name in moved]
+            for name in moved:
+                x0, y0, x1, y1 = live[name]
+                dx, dy = rng.uniform(-6, 6), rng.uniform(-6, 6)
+                live[name] = (x0 + dx, y0 + dy, x1 + dx, y1 + dy)
+            if in_place:
+                # plus a bystander: extra names only cost time
+                proposed = arrays.propose(live, moved + [names[0]])
+            elif data.draw(st.booleans(), label="diffed"):
+                proposed = arrays.propose(dict(live))
+            else:
+                proposed = arrays.propose(dict(live), moved)
+            expected = hpwl_of(resolved, live)
+            assert proposed == expected == listed.propose(dict(live)), f"step {step}"
+            if data.draw(st.booleans(), label="keep"):
+                arrays.commit()
+                listed.commit()
+                committed = dict(live)
+            else:
+                arrays.rollback()
+                listed.rollback()
+                live.update(undo)
+            assert arrays.total() == listed.total() == hpwl_of(resolved, committed)
 
 
 class TestProximityTiers:

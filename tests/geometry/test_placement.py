@@ -87,6 +87,22 @@ class TestPlacement:
         norm = moved.normalized()
         assert norm.bounding_box() == Rect(0, 0, 7, 5)
 
+    def test_anchored_placement_normalizes_to_itself(self, row_placement):
+        """At (+0.0, +0.0) the translation would change no float, so no
+        copy is built; a shifted placement still moves to the origin,
+        and so does one anchored at -0.0 (whose zeros would flip)."""
+        assert row_placement.bounding_box().x0 == 0.0
+        assert row_placement.normalized() is row_placement
+        shifted = row_placement.translated(2.5, -1.0).normalized()
+        assert shifted is not row_placement
+        assert shifted.placed == row_placement.placed
+        negative = Placement.of(
+            [place("a", -0.0, -0.0, 2, 3), place("b", 2, 0, 4, 2)]
+        )
+        normalized = negative.normalized()
+        assert normalized is not negative
+        assert str(normalized["a"].rect.x0) == "0.0"
+
     def test_mirrored_x_preserves_metrics(self, row_placement):
         m = row_placement.mirrored_x(10.0)
         assert m.area == row_placement.area

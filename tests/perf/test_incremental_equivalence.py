@@ -244,16 +244,18 @@ class TestDeltaHPWL:
             t_scalar = scalar.propose(cand)
             t_batch = batch.propose(cand)
             assert t_scalar == t_batch == hpwl_of(resolved, cand)
-            assert scalar._vals == batch._vals
+            # list mode keeps a list, array mode a float64 array
+            assert scalar._vals == batch._vals.tolist()
             scalar.commit()
             batch.commit()
 
-    def test_batch_tables_cached_across_proposes(self):
-        """The numpy batch path builds its degree-class pin tables once
-        and reuses a preallocated gather buffer; rebuilding
-        them per propose (the pre-cache behavior) must be measurably
-        slower, and caching must not change a single float."""
-        import time
+    def test_batch_tables_cached_across_proposes(self, monkeypatch):
+        """The numpy batch path builds its degree-class pin tables once,
+        at reset, and every full recompute reuses them (with the centre
+        arrays it keeps between proposals); caching must not change a
+        single float against a fresh session per candidate."""
+        from repro.bstar.tree import BStarTree
+        from repro.cost import hpwl as hpwl_module
 
         rng = random.Random(7)
         mods = ModuleSet.of(
@@ -265,41 +267,39 @@ class TestDeltaHPWL:
             + [Net(f"t{i}", tuple(rng.sample(names, 5))) for i in range(30)]
         )
         resolved = resolve_nets(nets, names)
-        from repro.bstar.tree import BStarTree
-
         kernel = BStarKernel(mods)
-        cached = DeltaHPWL(resolved, names, batch_min_nets=1, batch_fraction=0.0)
-        rebuilt = DeltaHPWL(resolved, names, batch_min_nets=1, batch_fraction=0.0)
         base = dict(kernel.pack(BStarTree.random(names, rng)))
-        assert cached.reset(dict(base)) == rebuilt.reset(dict(base))
         cands = [
             dict(kernel.pack(BStarTree.random(names, rng))) for _ in range(40)
         ]
 
-        def drive(delta, drop_tables):
-            t0 = time.perf_counter()
-            totals = []
-            for cand in cands:
-                if drop_tables:
-                    delta._np_tables = None
-                    delta._np_buf = None
-                totals.append(delta.propose(cand))
-                delta.rollback()
-            return time.perf_counter() - t0, totals
+        calls = {"pin_index_tables": 0, "batch_net_hpwl": 0}
 
-        best_cached = best_rebuilt = float("inf")
-        for _ in range(3):
-            elapsed, cached_totals = drive(cached, drop_tables=False)
-            best_cached = min(best_cached, elapsed)
-            elapsed, rebuilt_totals = drive(rebuilt, drop_tables=True)
-            best_rebuilt = min(best_rebuilt, elapsed)
-            assert cached_totals == rebuilt_totals
-        # generous noise margin: table construction dominates the
-        # rebuild path at this size, so even loaded CI clears 1.2x
-        assert best_rebuilt > best_cached * 1.2, (
-            f"cached batch tables gained nothing: cached {best_cached:.4f}s "
-            f"vs rebuild-per-propose {best_rebuilt:.4f}s"
-        )
+        def counted(fn):
+            def wrapper(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(hpwl_module, name, counted(getattr(hpwl_module, name)))
+        delta = DeltaHPWL(resolved, names, batch_min_nets=1, batch_fraction=0.0)
+        assert delta.reset(dict(base)) == hpwl_of(resolved, base)
+        totals = []
+        for i, cand in enumerate(cands):
+            totals.append(delta.propose(cand))
+            if i % 3:
+                delta.rollback()
+            else:
+                delta.commit()
+        # one table build; every proposal took the full recompute
+        assert calls == {"pin_index_tables": 1, "batch_net_hpwl": 1 + len(cands)}
+        fresh = []
+        for cand in cands:
+            session = DeltaHPWL(resolved, names, batch_min_nets=1, batch_fraction=0.0)
+            fresh.append(session.reset(dict(cand)))
+        assert totals == fresh == [hpwl_of(resolved, cand) for cand in cands]
 
 
 def _hb_engine(circuit, config):

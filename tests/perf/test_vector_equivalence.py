@@ -1,6 +1,6 @@
 """The vector tier is an equal-answers fast path, bit for bit.
 
-These tests lock the array-native evaluation tier's contract the same
+These tests lock the vector tier's contract the same
 way ``test_incremental_equivalence.py`` locked PR-2's: over random
 module sets (hard, square and soft), random nets (two-pin, multi-pin,
 weighted, dangling) and random batched walks with accepts and
@@ -54,6 +54,7 @@ from repro.perf import (
     IncrementalBStarEngine,
     VectorBStarEngine,
     bounding_of,
+    incremental,
     vector,
 )
 
@@ -241,7 +242,7 @@ class TestDegreeClassExtremes:
         first, *rest = _random_packings(mods, nets, BStarPlacerConfig(), 9)
         delta = DeltaHPWL(resolved, names)
         assert delta.reset(dict(first)) == hpwl_of(resolved, first)
-        assert delta._np_tables is not None  # reset took the batch path
+        assert delta._cx is not None  # reset entered array mode
         for coords in rest:
             assert delta.propose(dict(coords)) == hpwl_of(resolved, coords)
             delta.commit()
@@ -319,23 +320,89 @@ class TestVectorBStarEngine:
             assert one._cost == batch._cost
         assert one._coords == batch._coords
 
-    def test_proximity_groups_rejected_in_vector_mode(self):
-        """Proximity geometry has no array form: the vector evaluator
-        refuses it loudly, while the scalar oracle still serves it."""
+    def test_one_candidate_step_repacks_once(self, monkeypatch):
+        """A one-candidate tile packs its candidate in place and leaves it
+        pending: accept(0) commits it and reject_all() rolls it back,
+        neither packing again.  A wider tile packs each candidate once,
+        and only accepting an earlier candidate packs once more (its
+        replay)."""
+        rng = random.Random(6)
         mods = ModuleSet.of(
-            [Module.hard(f"m{i}", 2.0 + i, 3.0) for i in range(4)]
+            [Module.hard(f"m{i}", rng.uniform(1, 9), rng.uniform(1, 9)) for i in range(30)]
         )
-        group = ProximityGroup("g", ("m0", "m1"))
+        names = mods.names()
+        nets = tuple(Net(f"n{i}", tuple(rng.sample(names, 2))) for i in range(30))
+        engine = VectorBStarEngine(mods, nets, (), BStarPlacerConfig())
+        engine.reset(engine.initial_state(rng))
+        engine.collect_stats = True
+        packs = []
+        original = incremental.pack_suffix
+
+        def counting(*args, **kwargs):
+            packs.append(args[3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(incremental, "pack_suffix", counting)
+        repacked = 0
+        for step in range(60):
+            width = 1 if step < 40 else 3
+            packs.clear()
+            engine.propose_batch(rng, width)
+            lens = engine.last_repack_lens
+            assert len(packs) == sum(1 for length in lens if length), f"step {step}"
+            j = rng.randrange(width)
+            if rng.random() < 0.5:
+                engine.accept(j)
+                replayed = j < width - 1 and lens[j]
+            else:
+                engine.reject_all()
+                replayed = 0
+            assert len(packs) == sum(1 for length in lens if length) + bool(replayed)
+            repacked += len(packs)
+        assert repacked
+        state = engine.snapshot()
+        kernel = BStarKernel(mods, nets, (), BStarPlacerConfig())
+        assert engine._coords == kernel.pack(state.tree, state.orientations, state.variants)
+
+    def test_proximity_groups_served_on_the_step(self):
+        """Proximity geometry has no array form, so the batch evaluator
+        refuses it; the vector engine scores it on the delta path and
+        agrees with its scalar oracle on every candidate."""
+        rng = random.Random(5)
+        mods = ModuleSet.of(
+            [Module.hard(f"m{i}", rng.uniform(1, 6), rng.uniform(1, 6)) for i in range(12)]
+        )
+        names = mods.names()
+        nets = tuple(Net(f"n{i}", tuple(rng.sample(names, 3))) for i in range(10))
+        groups = (
+            ProximityGroup("g", ("m0", "m1", "m2")),
+            ProximityGroup("h", ("m5", "m9")),
+        )
         config = BStarPlacerConfig()
+        model = model_for_config(mods, nets, groups, config)
+        assert model.proximity_term is not None and model.proximity_term.active
         with pytest.raises(ValueError, match="proximity"):
-            BatchCostEvaluator(model_for_config(mods, (), (group,), config), mods.names())
-        with pytest.raises(ValueError, match="proximity"):
-            VectorBStarEngine(mods, (), (group,), config)
-        oracle = VectorBStarEngine(mods, (), (group,), config, evaluator="scalar")
-        rng = random.Random(3)
-        oracle.reset(oracle.initial_state(rng))
-        oracle.propose_batch(rng, 2)
-        oracle.reject_all()
+            BatchCostEvaluator(model, names)
+        engines = [
+            VectorBStarEngine(mods, nets, groups, config, evaluator=evaluator)
+            for evaluator in ("vector", "scalar")
+        ]
+        rngs = [random.Random(3), random.Random(3)]
+        costs = [e.reset(e.initial_state(r)) for e, r in zip(engines, rngs)]
+        assert costs[0] == costs[1]
+        for step in range(80):
+            batches = [e.propose_batch(r, 1 + step % 3) for e, r in zip(engines, rngs)]
+            assert batches[0] == batches[1]
+            j = batches[0].index(min(batches[0]))
+            for engine in engines:
+                if step % 4:
+                    engine.accept(j)
+                else:
+                    engine.reject_all()
+        state = engines[0].snapshot()
+        kernel = BStarKernel(mods, nets, groups, config)
+        expected = kernel.cost(state.tree, state.orientations, state.variants)
+        assert engines[0].initial_cost() == engines[1].initial_cost() == expected
 
     def test_unknown_evaluator_rejected(self):
         mods = ModuleSet.of([Module.hard("a", 2.0, 2.0)])
@@ -436,6 +503,37 @@ class TestBatchedAnnealer:
         assert cp_batched.best_cost == cp_scalar.best_cost
         assert cp_batched.current_cost == cp_scalar.current_cost
         assert cp_batched.step == cp_scalar.step
+
+    def test_multi_candidate_walk_keeps_its_parent_answers(self):
+        """A cold schedule drives acceptance below a third, so tiles of
+        up to five candidates run, accepting the pending last candidate
+        and replaying earlier ones.  Best cost, accepts, improvements
+        and steps are pinned to the values of the off-state candidate
+        engine this in-place step replaced."""
+        mods, nets = self._problem()
+        config = BStarPlacerConfig(seed=2, alpha=0.7, t_final=1e-12, steps_per_epoch=40)
+        engine, annealer = _fresh(mods, nets, config, batch_max=8)
+        widths, accepted = [], []
+        propose_batch, accept = engine.propose_batch, engine.accept
+
+        def counting_propose(rng, k):
+            widths.append(k)
+            return propose_batch(rng, k)
+
+        def counting_accept(j):
+            accepted.append((j, widths[-1]))
+            accept(j)
+
+        engine.propose_batch, engine.accept = counting_propose, counting_accept
+        cp = annealer.advance(annealer.begin(), None, _engine_synced=True)
+        assert max(widths) == 5
+        assert any(j < k - 1 for j, k in accepted)  # replayed candidates
+        assert any(j == k - 1 > 0 for j, k in accepted)  # pending last ones
+        assert cp.best_cost == 1.5123826778265348
+        assert cp.stats.accepted == 506
+        assert cp.stats.improved == 63
+        assert cp.step == 3120
+        assert BStarPlacer(mods, nets, config).cost(cp.best_state) == cp.best_cost
 
     def test_batch_max_validated(self):
         mods, nets = self._problem(n=4)
