@@ -1,18 +1,19 @@
 """Vector tier — windowed-walk annealing steps/sec vs the incremental engine.
 
 PR-3's incremental engine made each step proportional to what a move
-changed; the vector tier (:class:`repro.perf.VectorBStarEngine` driven
-by :class:`repro.anneal.BatchedAnnealer`) runs the same in-place step
-(dirty-suffix repack, delta cost, wirelength kept in numpy arrays on
-large designs) over windowed multi-scale moves, whose log-uniform
-suffix windows make most repacks short.  This benchmark measures what
+changed; the vector tier (:class:`repro.perf.VectorBStarEngine`,
+annealed by :class:`repro.anneal.IncrementalAnnealer` like every
+engine) runs the same in-place step (dirty-suffix repack, delta cost,
+wirelength kept in numpy arrays on large designs) over windowed
+multi-scale moves, whose log-uniform suffix windows make most repacks
+short.  This benchmark measures what
 that buys, and proves the tier's evaluation changes nothing else:
 
 * drives the vector engine and the incremental engine through the same
   walk API (begin/advance — the portfolio execution path) and reports
   steps/sec for both plus the ratio;
-* replays the *identical* vector-tier walk (same seed, same batched
-  driver) with the engine's **scalar oracle** evaluator — a full
+* replays the *identical* vector-tier walk (same seed, same annealer)
+  with the engine's **scalar oracle** evaluator — a full
   plain-float evaluation of every candidate through the unified
   :class:`~repro.cost.CostModel` — and asserts the best costs are
   byte-identical: the delta path is an equal-answers fast path, not a
@@ -43,7 +44,7 @@ import time
 
 from bench_perf_kernel import JSON_PATH, problem, record_trajectory_entry
 
-from repro.anneal import BatchedAnnealer, IncrementalAnnealer
+from repro.anneal import IncrementalAnnealer
 from repro.bstar import BStarPlacerConfig
 from repro.perf import IncrementalBStarEngine, VectorBStarEngine, vector
 
@@ -71,7 +72,7 @@ def _run_vector(modules, nets, config, max_steps, *, evaluator="vector"):
     rng = random.Random(config.seed)
     engine = VectorBStarEngine(modules, nets, (), config, evaluator=evaluator)
     engine.reset(engine.initial_state(rng))
-    annealer = BatchedAnnealer(engine, config.schedule(), rng)
+    annealer = IncrementalAnnealer(engine, config.schedule(), rng)
     return _drive(engine, annealer, max_steps)
 
 
@@ -104,7 +105,7 @@ def measure(
         )
         incremental_sps = max(incremental_sps, inc_steps / elapsed)
     # one scalar-oracle replay of the vector walk: same seed, same
-    # batched driver, plain-float evaluation — byte-identical or bust
+    # annealer, plain-float evaluation — byte-identical or bust
     _, _, oracle_best = _run_vector(
         modules, nets, config, max_steps, evaluator="scalar"
     )
@@ -142,8 +143,7 @@ def run(fast: bool = False, write: bool = False) -> dict:
     recorded = record_trajectory_entry(
         "vector",
         {
-            # the tier's fixed batch cap and window floor, as run
-            "batch_max": BatchedAnnealer.__init__.__kwdefaults__["batch_max"],
+            # the tier's window floor, as run
             "window_min": vector._WINDOW_MIN,
             "runs": [
                 measure(n, config, repeats, max_steps)

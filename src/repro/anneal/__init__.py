@@ -1,4 +1,10 @@
-"""Shared simulated-annealing engine (Kirkpatrick et al. [12])."""
+"""Shared simulated-annealing engine (Kirkpatrick et al. [12]).
+
+One loop, :class:`IncrementalAnnealer`, anneals every placer's engine
+through the ``propose -> commit/rollback`` protocol
+(:class:`IncrementalEngine`); the functional :class:`Annealer` is the
+reference the incremental engines are checked against.
+"""
 
 from .annealer import (
     CHECKPOINT_VERSION,
@@ -15,7 +21,6 @@ from .annealer import (
     checkpoint_from_payload,
     checkpoint_payload,
 )
-from .batch import BatchedAnnealer, BatchEngine
 from .schedule import (
     CoolingSchedule,
     GeometricSchedule,
@@ -31,8 +36,6 @@ __all__ = [
     "AnnealingPlacer",
     "AnnealingResult",
     "AnnealingStats",
-    "BatchEngine",
-    "BatchedAnnealer",
     "CoolingSchedule",
     "CoordsEngine",
     "FunctionMoveSet",

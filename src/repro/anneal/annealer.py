@@ -274,7 +274,12 @@ class IncrementalEngine(Protocol):
         ...
 
     def snapshot(self) -> object:
-        """An immutable copy of the current state (for best tracking)."""
+        """An immutable copy of the *committed* state (for best tracking).
+
+        A proposal still pending is not part of it: the annealer takes
+        the best state's copy between ``propose`` and ``commit``, just
+        before a non-improving accept leaves that state.
+        """
         ...
 
 
@@ -327,11 +332,19 @@ class IncrementalAnnealer:
 
     Drives the same accept/reject schedule as :class:`Annealer`, but the
     state lives inside the engine: every step is ``propose`` followed by
-    ``commit`` (accepted) or ``rollback`` (rejected), with no state
-    copies anywhere in the loop.  Randomness is consumed exactly like
-    :class:`Annealer` (engine draws, then one acceptance draw for uphill
-    moves), so an engine mirroring a move set's draws reproduces the
-    functional trajectory bit for bit.
+    ``commit`` (accepted) or ``rollback`` (rejected), with no per-step
+    state copies.  It is the one annealing loop: every placer's walk,
+    the vector tier's included, runs on it.  Randomness is consumed
+    exactly like :class:`Annealer` (engine draws, then one acceptance
+    draw for uphill moves), so an engine mirroring a move set's draws
+    reproduces the functional trajectory bit for bit.
+
+    The best state is copied lazily.  After an improving accept it *is*
+    the engine's committed state, which stays untouched until the next
+    accept, so :meth:`IncrementalEngine.snapshot` runs only just before
+    a non-improving accept leaves it (with that proposal still
+    pending), and a chunk that ends on it takes one snapshot for both
+    the current and the best state.
     """
 
     def __init__(
@@ -349,15 +362,11 @@ class IncrementalAnnealer:
         """Attach a telemetry recorder (``None`` detaches).
 
         Observation only: probes read values the loop already computed
-        and never touch the rng, so a traced walk is byte-identical to
-        an untraced one.  When the engine supports batch-side stats
-        collection (``collect_stats``), it is flipped to match the
-        recorder so untraced runs skip that bookkeeping entirely.
+        (the engine's ``last_move`` / ``last_repack_len``, where it has
+        them) and never touch the rng, so a traced walk is
+        byte-identical to an untraced one.
         """
         self._recorder = recorder if recorder is not None else NULL_RECORDER
-        engine = self._engine
-        if hasattr(engine, "collect_stats"):
-            engine.collect_stats = self._recorder.enabled
 
     def run(self, initial_cost: float | None = None) -> AnnealingResult:
         """Anneal the engine's current state until the schedule ends."""
@@ -440,6 +449,7 @@ class IncrementalAnnealer:
 
         current_cost = checkpoint.current_cost
         best, best_cost = checkpoint.best_state, checkpoint.best_cost
+        best_is_current = False
         stats = replace(checkpoint.stats)
 
         propose = engine.propose
@@ -472,13 +482,19 @@ class IncrementalAnnealer:
             delta = candidate_cost - current_cost
 
             if delta <= 0 or random_unit() < exp(-delta / max(temperature, 1e-300)):
+                improved = candidate_cost < best_cost
+                if best_is_current and not improved:
+                    # about to leave the best state: copy it while the
+                    # proposal is still pending (snapshot is committed)
+                    best = engine.snapshot()
+                    best_is_current = False
                 commit()
                 current_cost = candidate_cost
                 stats.accepted += 1
                 took = True
-                if current_cost < best_cost:
+                if improved:
                     best_cost = current_cost
-                    best = engine.snapshot()
+                    best_is_current = True
                     stats.improved += 1
             else:
                 rollback()
@@ -511,13 +527,14 @@ class IncrementalAnnealer:
                 start, stop, temperature, current_cost, best_cost, stats,
                 fam_proposed, fam_accepted, repack_hist,
             )
+        state = engine.snapshot()
         return WalkCheckpoint(
             step=stop,
             total_steps=total,
             t_scale=t_scale,
-            state=engine.snapshot(),
+            state=state,
             current_cost=current_cost,
-            best_state=best,
+            best_state=state if best_is_current else best,
             best_cost=best_cost,
             rng_state=rng.getstate(),
             stats=stats,

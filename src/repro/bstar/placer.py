@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..anneal import AnnealConfig, AnnealingPlacer, BatchedAnnealer, IncrementalAnnealer
+from ..anneal import AnnealConfig, AnnealingPlacer
 from ..anneal.walk import CostInputs
 from ..circuit import Circuit
 from ..cost import DEFAULT_TARGET_ASPECT, DEFAULT_WEIGHTS, model_for_config
@@ -42,8 +42,8 @@ class BStarPlacerConfig(AnnealConfig):
     proximity_weight: float = DEFAULT_WEIGHTS["proximity"]
     target_aspect: float = DEFAULT_TARGET_ASPECT
     #: opt into the vector tier (flat placer only):
-    #: :class:`~repro.perf.VectorBStarEngine`'s windowed moves, annealed
-    #: by :class:`~repro.anneal.BatchedAnnealer`.
+    #: :class:`~repro.perf.VectorBStarEngine`'s windowed moves on the
+    #: shared in-place step, annealed like every other engine.
     #: A different move/draw family from the incremental engine — same
     #: objective, not the same trajectory (see ``docs/perf.md``).
     vector_tier: bool = False
@@ -101,12 +101,6 @@ class BStarPlacer(AnnealingPlacer[BStarState]):
         return IncrementalBStarEngine(
             self._modules, self._nets, (), self._config, kernel=self._kernel
         )
-
-    def annealer(self, engine, rng: random.Random) -> IncrementalAnnealer:
-        """The annealing driver matched to this config's engine tier."""
-        if self._config.vector_tier:
-            return BatchedAnnealer(engine, self.schedule(), rng)
-        return super().annealer(engine, rng)
 
     def initial_state(self, rng: random.Random) -> BStarState:
         return BStarState(BStarTree.random(self._modules.names(), rng))

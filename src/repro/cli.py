@@ -647,8 +647,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--vector-tier",
         action="store_true",
         help="anneal on the vector tier (engine bstar only): windowed "
-        "multi-scale moves on the flat in-place step; a different move "
-        "family, tuned for large module counts",
+        "multi-scale moves on the flat in-place step, one candidate per "
+        "step like every engine; a different move family, tuned for "
+        "large module counts",
     )
     portfolio = p.add_argument_group(
         "portfolio",

@@ -224,9 +224,6 @@ def _execute(task: ChunkTask) -> ChunkResult:
     spec = task.spec
     placer, engine = _placer_engine_for(spec)
     rng = random.Random(spec.seed)
-    # the placer picks the driver matched to its engine tier (e.g. the
-    # batched annealer for a vector_tier config); all drivers share the
-    # IncrementalAnnealer checkpoint contract
     annealer = placer.annealer(engine, rng)
     if task.trace is not None:
         start_step = 0 if task.checkpoint is None else task.checkpoint.step
@@ -235,10 +232,6 @@ def _execute(task: ChunkTask) -> ChunkResult:
                 walk=spec.walk_id, engine=spec.engine, chunk_start=start_step
             )
         )
-    else:
-        # engines are memoized per process: make sure a traced run in
-        # this process earlier doesn't leave stats collection armed
-        annealer.set_recorder(None)
     started = time.perf_counter()
     if task.checkpoint is None:
         # same draw order as a placer's own run(): initial state first,

@@ -37,9 +37,8 @@ Modules
     ``FlatBStarEngine``, the set-up, committed state and in-place step
     that every flat B*-tree engine (the vector tier's included) shares.
 ``vector``
-    The vector tier on that step: windowed multi-scale moves and the
-    multi-candidate batch protocol (``propose_batch``/``accept``/
-    ``reject_all`` driven by :class:`repro.anneal.BatchedAnnealer`),
+    The vector tier on that step: windowed multi-scale moves, annealed
+    by :class:`repro.anneal.IncrementalAnnealer` like every engine,
     with a full-rescan scalar oracle twin, plus the numpy
     ``BatchCostEvaluator``.  Its two classes are served on first access
     by this package's ``__getattr__``, so the scalar tiers never import

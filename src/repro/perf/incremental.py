@@ -61,7 +61,7 @@ class FlatBStarEngine:
 
     Holds the move object, the kernel and its footprint table, the
     committed tree, packing and cost, and the step every flat engine
-    takes: a move applied in place (:meth:`_step`) repacks the dirty
+    takes: a move applied in place (:meth:`propose`) repacks the dirty
     suffix into the live table (undo-logged) and is scored by the
     kernel model's delta-capable :class:`~repro.cost.CostEvaluator`;
     :meth:`commit` splices the new pre-order in, :meth:`rollback`
@@ -153,8 +153,9 @@ class FlatBStarEngine:
     def snapshot(self) -> BStarState:
         """An immutable copy of the committed state (best tracking).
 
-        A pending proposal is undone on the copy, so the batch driver
-        may snapshot while a candidate is still applied in place.
+        A pending proposal is undone on the copy, so the annealer may
+        snapshot while a move is still applied in place (the
+        :meth:`~repro.anneal.IncrementalEngine.snapshot` contract).
         """
         tree = self._tree.clone()
         orients = self._orients.copy()
@@ -166,10 +167,41 @@ class FlatBStarEngine:
     # -- protocol ------------------------------------------------------------
 
     def propose(self, rng: random.Random) -> float:
-        """Apply one drawn move in place; return the candidate cost."""
+        """Apply one drawn move in place, repack and score it, leaving
+        it pending; return the candidate cost."""
         if self._pending:
             raise RuntimeError("previous proposal not committed or rolled back")
-        return self._step(self._draw(rng))
+        rec = self._rec = self._draw(rng)
+        self._pending = True
+        kind = rec.kind
+        self.last_move = kind
+        self.last_repack_len = 0
+        if kind == "noop":
+            self._pending_kind = "noop"
+            self._pending_cost = self._cost
+            return self._cost
+        if kind == "rotate" or kind == "reshape":
+            name = rec.a
+            wh = self._footprint(name)
+            old_wh = self._sizes[name]
+            if wh == old_wh:
+                # size-neutral move (square rotate, same-footprint
+                # variant): coordinates — hence cost — are unchanged
+                self._pending_kind = "neutral"
+                self._pending_cost = self._cost
+                return self._cost
+            self._size_undo = (name, old_wh)
+            self._sizes[name] = wh
+        else:
+            self._size_undo = None
+        self._pending_kind = "repack"
+        k = self._moves.dirty_index(rec, self._pos)
+        self.last_repack_len = len(self._order) - k
+        self._repack_suffix(k)
+        self._pending_cost = self._eval.propose(
+            self._coords, self._moved, self._sky_bounding()
+        )
+        return self._pending_cost
 
     def commit(self) -> None:
         """Keep the pending move (the mutation already happened; only
@@ -233,41 +265,6 @@ class FlatBStarEngine:
     def _draw(self, rng: random.Random):
         """Draw one move and apply it in place; its undo record."""
         raise NotImplementedError
-
-    def _step(self, rec) -> float:
-        """Repack and score the move ``rec`` just applied in place,
-        leaving it pending; return the candidate cost."""
-        self._rec = rec
-        self._pending = True
-        kind = rec.kind
-        self.last_move = kind
-        self.last_repack_len = 0
-        if kind == "noop":
-            self._pending_kind = "noop"
-            self._pending_cost = self._cost
-            return self._cost
-        if kind == "rotate" or kind == "reshape":
-            name = rec.a
-            wh = self._footprint(name)
-            old_wh = self._sizes[name]
-            if wh == old_wh:
-                # size-neutral move (square rotate, same-footprint
-                # variant): coordinates — hence cost — are unchanged
-                self._pending_kind = "neutral"
-                self._pending_cost = self._cost
-                return self._cost
-            self._size_undo = (name, old_wh)
-            self._sizes[name] = wh
-        else:
-            self._size_undo = None
-        self._pending_kind = "repack"
-        k = self._moves.dirty_index(rec, self._pos)
-        self.last_repack_len = len(self._order) - k
-        self._repack_suffix(k)
-        self._pending_cost = self._eval.propose(
-            self._coords, self._moved, self._sky_bounding()
-        )
-        return self._pending_cost
 
     def _adopt(self, state: BStarState) -> None:
         """Copy ``state`` into mutable form, with empty packing caches
@@ -374,10 +371,12 @@ class FullRepackBStarEngine(FlatBStarEngine):
     def reset(self, state: BStarState) -> float:
         self._adopt(state)
         self._cost = self._kernel.cost(self._tree, self._orients, self._variants)
+        self._clear_pending()
         return self._cost
 
     def propose(self, rng: random.Random) -> float:
         self._rec = self._moves.apply(self._tree, self._orients, self._variants, rng)
+        self._pending = True
         kind = self._rec.kind
         self.last_move = kind
         self.last_repack_len = 0 if kind == "noop" else len(self._tree)
@@ -388,11 +387,11 @@ class FullRepackBStarEngine(FlatBStarEngine):
 
     def commit(self) -> None:
         self._cost = self._pending_cost
-        self._rec = None
+        self._clear_pending()
 
     def rollback(self) -> None:
         self._moves.undo(self._tree, self._orients, self._variants, self._rec)
-        self._rec = None
+        self._clear_pending()
 
     def cost_breakdown(self) -> dict[str, float]:
         """Per-term contributions of the committed state (full repack)."""

@@ -1,4 +1,4 @@
-"""The vector tier: windowed multi-scale walks, batched candidates.
+"""The vector tier: windowed multi-scale walks on the shared step.
 
 Two pieces
 ==========
@@ -8,23 +8,15 @@ Two pieces
     :class:`~repro.perf.incremental.FlatBStarEngine`'s in-place step —
     dirty-suffix repack into the live table, scored by the kernel
     model's delta-capable :class:`~repro.cost.CostEvaluator` — exactly
-    as :class:`~repro.perf.IncrementalBStarEngine` does; only its draw
-    differs.  Moves are *windowed*
+    as :class:`~repro.perf.IncrementalBStarEngine` does, and
+    :class:`~repro.anneal.IncrementalAnnealer` anneals it like every
+    other engine; only its draw differs.  Moves are *windowed*
     (:class:`~repro.bstar.perturb.WindowedBStarMoves`): each candidate
     draws a log-uniform suffix length, so the expected repack cost is
     ``O(n / ln n)`` instead of ``O(n)`` while long-range moves are
-    still sampled.  On top of the scalar protocol it speaks the batch
-    protocol of :class:`repro.anneal.BatchedAnnealer`:
-    ``propose_batch(rng, k)`` applies, repacks and scores ``k``
-    candidates off the committed state one after another, rolling each
-    back once scored except the last, which stays pending;
-    ``accept(j)`` commits that last one, or rolls it back and replays
-    candidate ``j``'s recorded choices (via the ``*_named`` helpers of
-    :class:`~repro.bstar.perturb.InPlaceBStarMoves`); ``reject_all``
-    rolls it back.  A one-candidate step therefore repacks once.  On
-    designs of ``DeltaHPWL``'s ``batch_min_nets`` nets or more the
-    wirelength delta runs on maintained numpy arrays (see
-    :class:`~repro.cost.DeltaHPWL`).
+    still sampled.  On designs of ``DeltaHPWL``'s ``batch_min_nets``
+    nets or more the wirelength delta runs on maintained numpy arrays
+    (see :class:`~repro.cost.DeltaHPWL`).
 
 :class:`BatchCostEvaluator`
     Vectorized per-term evaluation of ``K`` candidates at once behind
@@ -74,7 +66,6 @@ from .incremental import FlatBStarEngine
 from .kernel import BStarKernel
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..bstar.perturb import BStarState
     from ..cost.model import CostModel
 
 #: exponent applied to the uniform draw behind each candidate's
@@ -191,37 +182,29 @@ class _FullRescan:
 class VectorBStarEngine(FlatBStarEngine):
     """Windowed multi-scale B*-tree engine (vector tier).
 
-    Implements the :class:`repro.anneal.IncrementalEngine` protocol
-    *plus* the batch extension driven by
-    :class:`repro.anneal.BatchedAnnealer`, on :class:`FlatBStarEngine`'s
-    in-place step; only its draw differs from
-    :class:`~repro.perf.IncrementalBStarEngine`'s:
-
-    * :meth:`propose_batch` — K windowed candidates off the committed
-      state, each applied, repacked and scored in place; every one but
-      the last is rolled back once scored, the last stays pending;
-    * :meth:`accept` — keep candidate ``j``: commit the pending last
-      one, or roll it back and replay ``j``'s recorded choices;
-    * :meth:`reject_all` — roll back the pending candidate.
+    Implements the :class:`repro.anneal.IncrementalEngine` protocol on
+    :class:`FlatBStarEngine`'s in-place step and is annealed by
+    :class:`repro.anneal.IncrementalAnnealer` like every other engine;
+    only its draw differs from
+    :class:`~repro.perf.IncrementalBStarEngine`'s.
 
     ``evaluator="scalar"`` builds the bit-identity oracle twin: same
     draws, every candidate scored through a full scalar
     ``CostModel.evaluate`` of the live table.
 
-    Telemetry capability: when :attr:`collect_stats` is set (the
-    annealer flips it on recorder attach), :meth:`propose_batch` also
-    publishes :attr:`last_kinds` / :attr:`last_repack_lens` — one
-    move-family name and repacked-suffix length per candidate.  Off by
-    default so untraced runs skip the per-batch tuple builds.
+    :meth:`propose`, :meth:`commit` and :meth:`rollback` run through
+    :meth:`propose_batch` (one candidate), :meth:`accept` and
+    :meth:`reject_all`, the names the benchmark's per-layer probes time
+    this engine by; while :attr:`collect_stats` is set, a proposal also
+    publishes :attr:`last_repack_lens` for the probes' repack tally.
     """
 
     _MOVES = "WindowedBStarMoves"
 
-    #: set by the annealer when a recorder is attached
+    #: set by a probe that reads :attr:`last_repack_lens`
     collect_stats = False
-    #: per-candidate move families of the most recent batch
-    last_kinds: tuple[str, ...] = ()
-    #: per-candidate repacked-suffix lengths of the most recent batch
+    #: the most recent proposal's repacked-suffix length, as a
+    #: one-element tuple (refreshed only under :attr:`collect_stats`)
     last_repack_lens: tuple[int, ...] = ()
 
     def __init__(
@@ -244,61 +227,39 @@ class VectorBStarEngine(FlatBStarEngine):
         )
         if evaluator == "scalar":
             self._eval = _FullRescan(self._kernel.model)
-        #: recorded choices of the pending batch's rolled-back
-        #: candidates (None: no batch pending)
-        self._cands: list[tuple | None] | None = None
 
-    def reset(self, state: BStarState) -> float:
-        """Adopt ``state`` (copied into mutable form); return its cost."""
-        self._cands = None
-        return super().reset(state)
+    # -- protocol ------------------------------------------------------------
 
-    # -- batch protocol ------------------------------------------------------
+    def propose(self, rng: random.Random) -> float:
+        return self.propose_batch(rng, 1)[0]
+
+    def commit(self) -> None:
+        self.accept(0)
+
+    def rollback(self) -> None:
+        self.reject_all()
+
+    # -- the same step, under the names the benchmark probes ------------------
 
     def propose_batch(self, rng: random.Random, k: int) -> list[float]:
-        """Draw, pack and score ``k`` candidates off the committed state."""
-        if self._cands is not None:
-            raise RuntimeError("previous batch not accepted or rejected")
-        propose = self.propose
-        stats = self.collect_stats
-        costs: list[float] = []
-        cands: list[tuple | None] = []
-        kinds: list[str] = []
-        lens: list[int] = []
-        for i in range(k):
-            if i:
-                cands.append(self._choices())
-                self.rollback()
-            costs.append(propose(rng))
-            if stats:
-                kinds.append(self.last_move)
-                lens.append(self.last_repack_len)
-        self._cands = cands
-        if stats:
-            self.last_kinds = tuple(kinds)
-            self.last_repack_lens = tuple(lens)
-        return costs
+        """Propose one windowed candidate (``k`` must be 1), left
+        pending; its cost, in a one-element list."""
+        if k != 1:
+            raise ValueError(f"the vector engine proposes one candidate, got k={k}")
+        cost = super().propose(rng)
+        if self.collect_stats:
+            self.last_repack_lens = (self.last_repack_len,)
+        return [cost]
 
     def accept(self, j: int) -> None:
-        """Keep candidate ``j`` (the pending last one, or a replay)."""
-        cands = self._cands
-        if cands is None:
-            raise RuntimeError("no pending batch")
-        self._cands = None
-        if j < len(cands):
-            self.rollback()
-            choices = cands[j]
-            if choices is None:  # a noop: nothing to keep
-                return
-            self._step(self._replay(choices))
-        self.commit()
+        """Keep the pending candidate (``j`` must be 0)."""
+        if j:
+            raise ValueError(f"no candidate {j}: the vector engine proposes one")
+        super().commit()
 
     def reject_all(self) -> None:
-        """Drop the whole batch (roll back the pending candidate)."""
-        if self._cands is None:
-            raise RuntimeError("no pending batch")
-        self._cands = None
-        self.rollback()
+        """Roll back the pending candidate."""
+        super().rollback()
 
     # -- internals -----------------------------------------------------------
 
@@ -321,31 +282,3 @@ class VectorBStarEngine(FlatBStarEngine):
         return self._moves.apply_windowed(
             self._tree, self._orients, self._variants, rng, order, lo
         )
-
-    def _choices(self) -> tuple | None:
-        """The pending move's choices, enough for :meth:`_replay` to
-        apply it again to the committed state (None for a noop)."""
-        rec = self._rec
-        kind = rec.kind
-        if kind == "move":
-            side = "left" if self._tree.left[rec.b] == rec.a else "right"
-            return ("move", rec.a, rec.b, side)
-        if kind == "swap":
-            return ("swap", rec.a, rec.b)
-        if kind == "rotate":
-            return ("rotate", rec.a)
-        if kind == "reshape":
-            return ("reshape", rec.a, self._variants[rec.a])
-        return None
-
-    def _replay(self, choices: tuple):
-        """Apply recorded choices in place (the ``*_named`` helpers)."""
-        moves = self._moves
-        op, name = choices[0], choices[1]
-        if op == "move":
-            return moves.move_named(self._tree, name, choices[2], choices[3])
-        if op == "swap":
-            return moves.swap_named(self._tree, name, choices[2])
-        if op == "rotate":
-            return moves.rotate_named(self._orients, name)
-        return moves.reshape_named(self._variants, name, choices[2])

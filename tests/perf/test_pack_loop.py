@@ -1,10 +1,10 @@
 """The one B*-tree packing loop, against the object tier and itself.
 
 :func:`repro.perf.kernel.pack_suffix` serves full packs
-(``pack_tree_coords``), the incremental engine's dirty-suffix repack
-and the vector engine's candidate pack, and its skyline splice writes
-only what changed (one height and an insert over one segment, one
-moved boundary over two, a slice over more).  Float sizes rarely put a
+(``pack_tree_coords``) and the dirty-suffix repack of both flat
+engines' in-place step, and its skyline splice writes only what
+changed (one height and an insert over one segment, one moved
+boundary over two, a slice over more).  Float sizes rarely put a
 right edge exactly on an existing boundary, so these tests draw small
 *integer* sizes, where edges coincide all the time and modules span
 one, two and several segments; every table must equal the object-tier
@@ -144,11 +144,11 @@ class TestAgainstObjectTier:
         # a 2-slot window floor, so small sets draw windowed moves too
         with mock.patch.object(vector, "_WINDOW_MIN", 2):
             for _ in range(30):
-                costs = engine.propose_batch(rng, rng.randint(1, 4))
+                engine.propose(rng)
                 if rng.random() < 0.6:
-                    engine.accept(rng.randrange(len(costs)))
+                    engine.commit()
                 else:
-                    engine.reject_all()
+                    engine.rollback()
                 assert engine._coords == _object_coords(mods, engine.snapshot())
 
 

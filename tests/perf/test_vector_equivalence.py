@@ -3,14 +3,13 @@
 These tests lock the vector tier's contract the same
 way ``test_incremental_equivalence.py`` locked PR-2's: over random
 module sets (hard, square and soft), random nets (two-pin, multi-pin,
-weighted, dangling) and random batched walks with accepts and
-rejections, the numpy :class:`~repro.perf.BatchCostEvaluator` and the
+weighted, dangling) and random walks with accepts and rejections, the
+numpy :class:`~repro.perf.BatchCostEvaluator` and the
 :class:`~repro.perf.VectorBStarEngine` agree exactly (``==``, no
 tolerances) with the scalar :class:`~repro.cost.CostModel` and with
-the engine's own scalar-oracle twin.  The driver side gets the same
-treatment: chunked :class:`~repro.anneal.BatchedAnnealer` advances
-replay one monolithic run bit for bit, and ``batch_max=1`` collapses
-to the plain :class:`~repro.anneal.IncrementalAnnealer` loop.
+the engine's own scalar-oracle twin.  The walk side gets the same
+treatment: chunked :class:`~repro.anneal.IncrementalAnnealer` advances
+of a vector walk replay one monolithic run bit for bit.
 
 What is deliberately *not* tested here: vector-vs-incremental best
 costs.  The vector engine draws a different move family (windowed
@@ -30,7 +29,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from repro.anneal import BatchedAnnealer, GeometricSchedule, IncrementalAnnealer
+from repro.anneal import GeometricSchedule, IncrementalAnnealer
 from repro.bstar import BStarPlacer, BStarPlacerConfig
 from repro.circuit import ProximityGroup, simple_testcase
 from repro.cost import (
@@ -248,23 +247,21 @@ class TestDegreeClassExtremes:
             delta.commit()
 
 
-def _walk_batched(vec, oracle, steps, seed, kernel, model, check_every=7):
-    """Drive both engines through identical batched walks with random
-    accept/reject decisions, asserting bit-equality throughout."""
+def _walk_lockstep(vec, oracle, steps, seed, kernel, model, check_every=7):
+    """Drive both engines through identical walks with random
+    commit/rollback decisions, asserting bit-equality throughout."""
     r1, r2 = random.Random(seed), random.Random(seed)
     chooser = random.Random(seed + 1)
     for step in range(steps):
-        width = chooser.randint(1, 5)
-        c1 = vec.propose_batch(r1, width)
-        c2 = oracle.propose_batch(r2, width)
+        c1 = vec.propose(r1)
+        c2 = oracle.propose(r2)
         assert c1 == c2, f"step {step}: {c1} != {c2}"
         if chooser.random() < 0.5:
-            j = chooser.randrange(width)
-            vec.accept(j)
-            oracle.accept(j)
+            vec.commit()
+            oracle.commit()
         else:
-            vec.reject_all()
-            oracle.reject_all()
+            vec.rollback()
+            oracle.rollback()
         assert vec._cost == oracle._cost
         if step % check_every == 0:
             # the committed state must pack and score identically
@@ -278,7 +275,7 @@ def _walk_batched(vec, oracle, steps, seed, kernel, model, check_every=7):
 class TestVectorBStarEngine:
     @settings(max_examples=30, deadline=None)
     @given(mixed_module_sets(min_size=2, max_size=14), st.integers(0, 2**31))
-    def test_matches_scalar_oracle_over_batched_walks(self, mods, seed):
+    def test_matches_scalar_oracle_over_walks(self, mods, seed):
         rng = random.Random(seed)
         names = mods.names()
         nets = _random_nets(names, rng)
@@ -291,41 +288,15 @@ class TestVectorBStarEngine:
         assert vec.reset(init) == oracle.reset(init)
         # a 4-slot window floor, so 5-14-module sets draw windowed moves
         with mock.patch.object(vector, "_WINDOW_MIN", 4):
-            _walk_batched(vec, oracle, 40, seed ^ 0x5A5A, kernel, model)
+            _walk_lockstep(vec, oracle, 40, seed ^ 0x5A5A, kernel, model)
         vec._tree.validate()
 
-    @settings(max_examples=20, deadline=None)
-    @given(mixed_module_sets(min_size=2, max_size=10), st.integers(0, 2**31))
-    def test_scalar_protocol_matches_batch_of_one(self, mods, seed):
-        """propose/commit/rollback is exactly propose_batch(k=1)."""
-        rng = random.Random(seed)
-        nets = _random_nets(mods.names(), rng, multi=False)
-        config = BStarPlacerConfig(wirelength_weight=0.5)
-        one = VectorBStarEngine(mods, nets, (), config)
-        batch = VectorBStarEngine(mods, nets, (), config)
-        init = one.initial_state(rng)
-        assert one.reset(init) == batch.reset(init)
-        r1, r2 = random.Random(seed), random.Random(seed)
-        chooser = random.Random(seed + 1)
-        for step in range(30):
-            c1 = one.propose(r1)
-            c2 = batch.propose_batch(r2, 1)[0]
-            assert c1 == c2, f"step {step}"
-            if chooser.random() < 0.5:
-                one.commit()
-                batch.accept(0)
-            else:
-                one.rollback()
-                batch.reject_all()
-            assert one._cost == batch._cost
-        assert one._coords == batch._coords
-
     def test_one_candidate_step_repacks_once(self, monkeypatch):
-        """A one-candidate tile packs its candidate in place and leaves it
-        pending: accept(0) commits it and reject_all() rolls it back,
-        neither packing again.  A wider tile packs each candidate once,
-        and only accepting an earlier candidate packs once more (its
-        replay)."""
+        """A proposal packs its candidate in place and leaves it
+        pending: commit keeps it and rollback undoes it, neither
+        packing again.  The step answers to the benchmark's names too:
+        ``propose_batch`` takes one candidate only and publishes its
+        repacked length under ``collect_stats``."""
         rng = random.Random(6)
         mods = ModuleSet.of(
             [Module.hard(f"m{i}", rng.uniform(1, 9), rng.uniform(1, 9)) for i in range(30)]
@@ -345,24 +316,28 @@ class TestVectorBStarEngine:
         monkeypatch.setattr(incremental, "pack_suffix", counting)
         repacked = 0
         for step in range(60):
-            width = 1 if step < 40 else 3
             packs.clear()
-            engine.propose_batch(rng, width)
-            lens = engine.last_repack_lens
-            assert len(packs) == sum(1 for length in lens if length), f"step {step}"
-            j = rng.randrange(width)
+            engine.propose(rng)
+            (length,) = engine.last_repack_lens
+            assert length == engine.last_repack_len
+            assert len(packs) == bool(length), f"step {step}"
             if rng.random() < 0.5:
-                engine.accept(j)
-                replayed = j < width - 1 and lens[j]
+                engine.commit()
             else:
-                engine.reject_all()
-                replayed = 0
-            assert len(packs) == sum(1 for length in lens if length) + bool(replayed)
+                engine.rollback()
+            assert len(packs) == bool(length)
             repacked += len(packs)
         assert repacked
         state = engine.snapshot()
         kernel = BStarKernel(mods, nets, (), BStarPlacerConfig())
         assert engine._coords == kernel.pack(state.tree, state.orientations, state.variants)
+        with pytest.raises(ValueError, match="one candidate"):
+            engine.propose_batch(rng, 2)
+        engine.propose_batch(rng, 1)
+        with pytest.raises(ValueError, match="one"):
+            engine.accept(1)
+        engine.accept(0)
+        assert engine._cost == kernel.cost(*_parts(engine.snapshot()))
 
     def test_proximity_groups_served_on_the_step(self):
         """Proximity geometry has no array form, so the batch evaluator
@@ -391,14 +366,13 @@ class TestVectorBStarEngine:
         costs = [e.reset(e.initial_state(r)) for e, r in zip(engines, rngs)]
         assert costs[0] == costs[1]
         for step in range(80):
-            batches = [e.propose_batch(r, 1 + step % 3) for e, r in zip(engines, rngs)]
-            assert batches[0] == batches[1]
-            j = batches[0].index(min(batches[0]))
+            costs = [e.propose(r) for e, r in zip(engines, rngs)]
+            assert costs[0] == costs[1]
             for engine in engines:
                 if step % 4:
-                    engine.accept(j)
+                    engine.commit()
                 else:
-                    engine.reject_all()
+                    engine.rollback()
         state = engines[0].snapshot()
         kernel = BStarKernel(mods, nets, groups, config)
         expected = kernel.cost(state.tree, state.orientations, state.variants)
@@ -410,7 +384,11 @@ class TestVectorBStarEngine:
             VectorBStarEngine(mods, (), (), BStarPlacerConfig(), evaluator="cuda")
 
 
-def _fresh(mods, nets, config, *, batch_max=None):
+def _parts(state):
+    return state.tree, state.orientations, state.variants
+
+
+def _fresh(mods, nets, config):
     """A (engine, annealer) pair wired the way the placers wire them."""
     rng = random.Random(config.seed)
     engine = VectorBStarEngine(mods, nets, (), config)
@@ -421,14 +399,10 @@ def _fresh(mods, nets, config, *, batch_max=None):
         alpha=config.alpha,
         steps_per_epoch=config.steps_per_epoch,
     )
-    if batch_max is None:
-        annealer = IncrementalAnnealer(engine, schedule, rng)
-    else:
-        annealer = BatchedAnnealer(engine, schedule, rng, batch_max=batch_max)
-    return engine, annealer
+    return engine, IncrementalAnnealer(engine, schedule, rng)
 
 
-class TestBatchedAnnealer:
+class TestVectorWalk:
     def _problem(self, n=24, seed=9):
         rng = random.Random(seed)
         mods = ModuleSet.of(
@@ -441,13 +415,13 @@ class TestBatchedAnnealer:
         return mods, nets
 
     def test_chunked_advance_matches_monolithic(self):
-        """Tiled advances across chunk boundaries replay one run exactly."""
+        """Chunked advances of a vector walk replay one run exactly."""
         mods, nets = self._problem()
         config = BStarPlacerConfig(seed=2, alpha=0.85, t_final=1e-2)
-        _, mono = _fresh(mods, nets, config, batch_max=8)
+        _, mono = _fresh(mods, nets, config)
         cp_mono = mono.advance(mono.begin(), None, _engine_synced=True)
 
-        _, chunked = _fresh(mods, nets, config, batch_max=8)
+        _, chunked = _fresh(mods, nets, config)
         cp = chunked.begin()
         while cp.step < cp.total_steps:
             cp = chunked.advance(cp, 37, _engine_synced=True)
@@ -455,89 +429,27 @@ class TestBatchedAnnealer:
         assert cp.best_cost == cp_mono.best_cost
         assert cp.current_cost == cp_mono.current_cost
         assert cp.rng_state == cp_mono.rng_state
-        assert cp.stats.accepted == cp_mono.stats.accepted
-
-    def test_deferred_best_snapshots_score_their_cost(self):
-        """The best state is copied only when a non-improving accept is
-        about to leave it.  After every chunk the best state still
-        scores the best cost, both for chunks that end on an improvement
-        (one snapshot serves as both states) and for chunks that
-        improved and then moved on; the chunked walk stays the
-        monolithic one."""
-        mods, nets = self._problem()
-        config = BStarPlacerConfig(seed=2, alpha=0.85, t_final=1e-2)
-        placer = BStarPlacer(mods, nets, config)
-        _, mono = _fresh(mods, nets, config, batch_max=8)
-        cp_mono = mono.advance(mono.begin(), None, _engine_synced=True)
-
-        _, chunked = _fresh(mods, nets, config, batch_max=8)
-        cp = chunked.begin()
-        ended_on_best = left_best = 0
-        while cp.step < cp.total_steps:
-            before = cp.best_cost
-            cp = chunked.advance(cp, 13, _engine_synced=True)
-            assert placer.cost(cp.best_state) == cp.best_cost
-            assert placer.cost(cp.state) == cp.current_cost
-            if cp.best_cost < before:
-                if cp.best_state is cp.state:
-                    ended_on_best += 1
-                else:
-                    left_best += 1
-        assert ended_on_best and left_best
-        assert cp.best_cost == cp_mono.best_cost
-        assert cp.current_cost == cp_mono.current_cost
-        assert cp.rng_state == cp_mono.rng_state
         assert cp.stats == cp_mono.stats
-        assert placer.cost(cp_mono.best_state) == cp_mono.best_cost
-        assert cp.best_state.tree.parent == cp_mono.best_state.tree.parent
-        assert cp.best_state.tree.left == cp_mono.best_state.tree.left
 
-    def test_batch_max_one_matches_incremental_annealer(self):
-        """K=1 batching is the scalar loop: same draws, same answers."""
-        mods, nets = self._problem()
-        config = BStarPlacerConfig(seed=4, alpha=0.85, t_final=1e-2)
-        _, scalar = _fresh(mods, nets, config, batch_max=None)
-        cp_scalar = scalar.advance(scalar.begin(), None, _engine_synced=True)
-        _, batched = _fresh(mods, nets, config, batch_max=1)
-        cp_batched = batched.advance(batched.begin(), None, _engine_synced=True)
-        assert cp_batched.best_cost == cp_scalar.best_cost
-        assert cp_batched.current_cost == cp_scalar.current_cost
-        assert cp_batched.step == cp_scalar.step
-
-    def test_multi_candidate_walk_keeps_its_parent_answers(self):
-        """A cold schedule drives acceptance below a third, so tiles of
-        up to five candidates run, accepting the pending last candidate
-        and replaying earlier ones.  Best cost, accepts, improvements
-        and steps are pinned to the values of the off-state candidate
-        engine this in-place step replaced."""
-        mods, nets = self._problem()
-        config = BStarPlacerConfig(seed=2, alpha=0.7, t_final=1e-12, steps_per_epoch=40)
-        engine, annealer = _fresh(mods, nets, config, batch_max=8)
-        widths, accepted = [], []
-        propose_batch, accept = engine.propose_batch, engine.accept
-
-        def counting_propose(rng, k):
-            widths.append(k)
-            return propose_batch(rng, k)
-
-        def counting_accept(j):
-            accepted.append((j, widths[-1]))
-            accept(j)
-
-        engine.propose_batch, engine.accept = counting_propose, counting_accept
-        cp = annealer.advance(annealer.begin(), None, _engine_synced=True)
-        assert max(widths) == 5
-        assert any(j < k - 1 for j, k in accepted)  # replayed candidates
-        assert any(j == k - 1 > 0 for j, k in accepted)  # pending last ones
-        assert cp.best_cost == 1.5123826778265348
-        assert cp.stats.accepted == 506
-        assert cp.stats.improved == 63
-        assert cp.step == 3120
-        assert BStarPlacer(mods, nets, config).cost(cp.best_state) == cp.best_cost
-
-    def test_batch_max_validated(self):
-        mods, nets = self._problem(n=4)
-        config = BStarPlacerConfig()
-        engine = VectorBStarEngine(mods, nets, (), config)
-        with pytest.raises(ValueError, match="batch_max"):
-            BatchedAnnealer(engine, rng=random.Random(0), batch_max=0)
+    def test_placer_walk_matches_its_scalar_oracle(self):
+        """A vector-tier placer's walk, replayed on the scalar oracle
+        through the same annealer, keeps every best cost."""
+        mods, nets = self._problem(n=40)
+        config = BStarPlacerConfig(seed=5, alpha=0.85, t_final=1e-2, vector_tier=True)
+        placer = BStarPlacer(mods, nets, config)
+        bests = []
+        for engine in (
+            placer.engine(),
+            VectorBStarEngine(mods, nets, (), config, evaluator="scalar"),
+        ):
+            rng = random.Random(config.seed)
+            engine.reset(placer.initial_state(rng))
+            annealer = placer.annealer(engine, rng)
+            assert type(annealer) is IncrementalAnnealer
+            cp = annealer.begin()
+            while not cp.finished:
+                cp = annealer.advance(cp, 50, _engine_synced=True)
+                bests.append(cp.best_cost)
+        half = len(bests) // 2
+        assert bests[:half] == bests[half:]
+        assert placer.cost(cp.best_state) == cp.best_cost
